@@ -25,7 +25,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .datum import NumericalDatum, generator_portraits
-from .portraits import Portrait, commutator
+from .portraits import Portrait, commutator, level_offsets
 
 
 class ChainError(RuntimeError):
@@ -213,8 +213,16 @@ def block_product_chain(p: int, depth: int, k: int, sub: SubgroupChain) -> Subgr
 # -- persistent store -----------------------------------------------------------
 
 
+CACHE_FORMAT = 2
+
+
 class ChainStore:
-    """Memoizes chains in memory and, when given a directory, on disk as JSON."""
+    """Memoizes chains in memory and, when given a directory, on disk as JSON.
+
+    A file is used only when it has the current format, the requested p and
+    depth, a digest that matches its generators and levels, and levels whose
+    rows and representatives agree; any other file is rebuilt and replaced.
+    """
 
     def __init__(self, cache_dir: str | None = None):
         self.cache_dir = cache_dir
@@ -237,21 +245,50 @@ class ChainStore:
         if path and os.path.exists(path):
             try:
                 with open(path) as fh:
-                    chain = _chain_from_dict(json.load(fh))
-            except (ValueError, KeyError, OSError):
+                    chain = _chain_from_dict(json.load(fh), datum.p, level)
+            except (ValueError, KeyError, TypeError, IndexError, OSError):
                 chain = None
         if chain is None:
             chain = builder()
             if path:
-                with open(path, "w") as fh:
-                    json.dump(_chain_to_dict(chain), fh)
+                _write_atomic(path, _chain_to_dict(chain))
         self.mem[key] = chain
         return chain
 
 
+def _write_atomic(path: str, payload: dict) -> None:
+    """Write JSON to a temporary file beside `path`, then move it into place."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def chain_digest(chain: SubgroupChain) -> str:
+    """sha256 over the generators' labels and every pivot's column, row and labels.
+
+    It hashes the arrays rather than their JSON text, so checking a file
+    costs no second encoding of it.
+    """
+    h = hashlib.sha256(f"gens {len(chain.gens)}".encode())
+    for g in chain.gens:
+        h.update(g.labels.tobytes())
+    for d, lv in enumerate(chain.levels):
+        h.update(f"level {d}: {len(lv)}".encode())
+        for col, row, rep in lv:
+            h.update(f"col {col}".encode())
+            h.update(row.tobytes())
+            h.update(rep.labels.tobytes())
+    return h.hexdigest()
+
+
 def _chain_to_dict(chain: SubgroupChain) -> dict:
     return {
-        "v": 1,
+        "v": CACHE_FORMAT,
         "p": chain.p,
         "depth": chain.depth,
         "gens": [g.labels.tolist() for g in chain.gens],
@@ -259,19 +296,36 @@ def _chain_to_dict(chain: SubgroupChain) -> dict:
             [[col, row.tolist(), rep.labels.tolist()] for (col, row, rep) in lv]
             for lv in chain.levels
         ],
+        "sha256": chain_digest(chain),
     }
 
 
-def _chain_from_dict(data: dict) -> SubgroupChain:
-    p, depth = data["p"], data["depth"]
+def _chain_from_dict(data: dict, p: int, depth: int) -> SubgroupChain:
+    """The chain a cache file holds; ValueError when the file fails a check."""
+    if data["v"] != CACHE_FORMAT or data["p"] != p or data["depth"] != depth:
+        raise ValueError("cache file has another format, p or depth")
+    if len(data["levels"]) != depth:
+        raise ValueError("cache file has the wrong number of levels")
     chain = SubgroupChain(
         p, depth, gens=tuple(Portrait(p, depth, g) for g in data["gens"])
     )
+    offs = level_offsets(p, depth)
     for d, lv in enumerate(data["levels"]):
         for col, row, rep in lv:
-            chain.levels[d].append(
-                (int(col), np.array(row, dtype=np.int64), Portrait(p, depth, rep))
-            )
+            row = np.array(row, dtype=np.int64)
+            rep = Portrait(p, depth, rep)
+            # _insert stores the level-d labels of a representative that fixes
+            # the tree to depth d, scaled so the pivot column holds 1.
+            if (
+                rep.labels[: offs[d]].any()
+                or not np.array_equal(rep.level_labels(d), row)
+                or not 0 <= col < row.size
+                or row[col] != 1
+            ):
+                raise ValueError(f"cache file level {d} has an inconsistent pivot")
+            chain.levels[d].append((int(col), row, rep))
+    if data["sha256"] != chain_digest(chain):
+        raise ValueError("cache file digest does not match its contents")
     return chain
 
 
@@ -300,7 +354,6 @@ class FiniteQuotient:
             )
         self.datum = datum
         self.level = level
-        self.degree_guard = degree_guard
         self.store = store if store is not None else ChainStore()
         self.gens = generator_portraits(datum, level)
         self.gen_list = tuple(self.gens.values())

@@ -3,7 +3,9 @@
 Every check here follows the same pattern: build congruence quotients of the
 datum's group at a chosen tree depth, test a finite shadow of a statement
 about the infinite group, and return a report with a verdict and
-machine-checkable certificates.
+machine-checkable certificates.  The table `CHECKS` holds what each check
+needs (levels, preconditions, a witness word, a seed) and where the default
+suite runs it; `run_check` does the shared preamble from that table.
 
 Verdict semantics are asymmetric, as they must be for finite shadows:
 
@@ -26,6 +28,8 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from .chains import (
     ChainStore,
@@ -40,6 +44,7 @@ from .chains import (
 )
 from .datum import (
     HAS_CSP,
+    Classification,
     NumericalDatum,
     classify,
     dependency,
@@ -65,6 +70,14 @@ REFUTED = "RefutedByWitness"
 GUARD = "GuardExceeded"
 
 DEFAULT_SEED = 20260817
+DEFAULT_SAMPLES = 20
+
+# A check function takes (datum, classification, level, quotient_at) and, as
+# its table entry asks, keyword arguments aux_level, word, seed and samples.
+# quotient_at(n) is the level-n quotient with the caller's store and guard.
+# It returns the report fields it decides: verdict, expected, certificates,
+# notes, and the level where the report's level is not the one passed in.
+QuotientAt = Callable[[int], FiniteQuotient]
 
 
 class CheckError(ValueError):
@@ -136,20 +149,8 @@ class CheckReport:
 
 def single_constant_family(datum: NumericalDatum) -> bool:
     """One nonempty family, a singleton with a constant vector."""
-    fams = datum.nonempty_families
-    return len(fams) == 1 and _all_constant_singletons(datum)
-
-
-def _all_constant_singletons(datum: NumericalDatum) -> bool:
-    return all(
-        len(datum.family(j)) == 1 and is_constant(datum.family(j)[0])
-        for j in datum.nonempty_families
-    )
-
-
-def _constant_type(datum: NumericalDatum) -> bool:
-    """Every nonempty family is a constant singleton (one family or several)."""
-    return bool(datum.nonempty_families) and _all_constant_singletons(datum)
+    fams = [datum.family(j) for j in datum.nonempty_families]
+    return len(fams) == 1 and len(fams[0]) == 1 and is_constant(fams[0][0])
 
 
 def _witness_cert(certs: dict, key: str, g: Portrait) -> None:
@@ -159,26 +160,26 @@ def _witness_cert(certs: dict, key: str, g: Portrait) -> None:
         certs[f"{key}-truncated-to-depth"] = 4
 
 
-def _require_not_constant_class(datum: NumericalDatum, check: str) -> None:
-    cls = classify(datum)
-    if cls.in_G_class:
-        raise CheckError(
-            f"{check} does not apply to data whose families are all constant "
-            "singletons across two or more families"
-        )
+def _outcome(
+    verdict: str, expected: str | None, certs: dict, notes: tuple[str, ...] = ()
+) -> dict:
+    """The report fields a check decides for itself."""
+    return dict(verdict=verdict, expected=expected, certificates=certs, notes=notes)
 
 
 def _embedding_check(
-    check: str,
     datum: NumericalDatum,
     level: int,
-    source: SubgroupChain,
-    target: SubgroupChain,
+    quotient_at: QuotientAt,
+    source: str,
+    target: str,
     expected: str | None,
-    notes: tuple[str, ...],
-    extra_certs: dict | None = None,
-) -> CheckReport:
-    """Sift the pivots of `source`, embedded below the first vertex, into `target`."""
+    notes: tuple[str, ...] = (),
+) -> dict:
+    """Sift the pivots of chain `source` of the level-(n-1) quotient, embedded
+    below the first vertex, into chain `target` of the level-n quotient."""
+    source = quotient_at(level - 1).chain(source)
+    target = quotient_at(level).chain(target)
     pivots = embed_pivots(datum.p, level, (1,), source)
     failed = [g for g in pivots if not target.contains(g)]
     certs = {
@@ -187,30 +188,17 @@ def _embedding_check(
         "pivot-count": len(pivots),
         "failed-pivot-count": len(failed),
     }
-    if extra_certs:
-        certs.update(extra_certs)
     if failed:
         _witness_cert(certs, "witness", failed[0])
-    return CheckReport(
-        check=check,
-        datum_text=datum.canonical_line(),
-        level=level,
-        verdict=VERIFIED if not failed else REFUTED,
-        expected=expected,
-        certificates=certs,
-        notes=notes,
-    )
+    return _outcome(VERIFIED if not failed else REFUTED, expected, certs, notes)
 
 
 # -- abelianization --------------------------------------------------------------
 
 
 def check_abelianization_index(
-    datum: NumericalDatum,
-    level: int = 3,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt
+) -> dict:
     """Index of the derived subgroup in the level-n quotient against p^(1+r).
 
     For jointly independent defining vectors the quotient modulo its derived
@@ -223,11 +211,7 @@ def check_abelianization_index(
     containment forces the merge; the remaining dependent combinations are
     reported without a prediction.
     """
-    datum.require_valid()
-    if level < 2:
-        raise CheckError("abelianization-index needs level >= 2")
-    cls = classify(datum)
-    q = quotient(datum, level, degree_guard=degree_guard, store=store)
+    q = quotient_at(level)
     measured = q.order_exponent() - q.derived().order_exponent()
     r = datum.total_generators
     predicted = 1 + r
@@ -257,26 +241,16 @@ def check_abelianization_index(
     else:
         expected = None
         certs["dependent-target-family"] = dep.family
-    return CheckReport(
-        check="abelianization-index",
-        datum_text=datum.canonical_line(),
-        level=level,
-        verdict=VERIFIED if measured == predicted else REFUTED,
-        expected=expected,
-        certificates=certs,
-        notes=notes,
-    )
+    verdict = VERIFIED if measured == predicted else REFUTED
+    return _outcome(verdict, expected, certs, notes)
 
 
 # -- branch structure ------------------------------------------------------------
 
 
 def check_branch_over_derived(
-    datum: NumericalDatum,
-    level: int = 3,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt
+) -> dict:
     """Derived subgroup below one vertex against the derived part of the stabilizer.
 
     Embeds the pivots of the derived subgroup of the level-(n-1) quotient at
@@ -285,41 +259,19 @@ def check_branch_over_derived(
     exactly when some defining vector is non-symmetric or the joint span has
     dimension at least two.
     """
-    datum.require_valid()
-    if level < 2:
-        raise CheckError("branch-over-derived needs level >= 2")
-    cls = classify(datum)
-    q = quotient(datum, level, degree_guard=degree_guard, store=store)
-    small = quotient(datum, level - 1, degree_guard=degree_guard, store=store)
-    return _embedding_check(
-        "branch-over-derived",
-        datum,
-        level,
-        small.derived(),
-        q.kernel_derived(1),
-        VERIFIED if cls.branch_over_derived else REFUTED,
-        notes=(),
-    )
+    expected = VERIFIED if cls.branch_over_derived else REFUTED
+    return _embedding_check(datum, level, quotient_at, "derived", "kernel-derived:1", expected)
 
 
 def check_branch_over_gamma3(
-    datum: NumericalDatum,
-    level: int = 3,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt
+) -> dict:
     """Third lower-central term below one vertex against its stabilizer form.
 
     Embeds the pivots of the third lower-central term of the level-(n-1)
     quotient at the first vertex and sifts them into the third lower-central
     term of the level-1 kernel of the level-n quotient.
     """
-    datum.require_valid()
-    if level < 2:
-        raise CheckError("branch-over-gamma3 needs level >= 2")
-    _require_not_constant_class(datum, "branch-over-gamma3")
-    q = quotient(datum, level, degree_guard=degree_guard, store=store)
-    small = quotient(datum, level - 1, degree_guard=degree_guard, store=store)
     notes: tuple[str, ...] = ()
     if single_constant_family(datum):
         expected = VERIFIED if level <= 3 else REFUTED
@@ -330,58 +282,22 @@ def check_branch_over_gamma3(
     else:
         expected = VERIFIED
     return _embedding_check(
-        "branch-over-gamma3",
-        datum,
-        level,
-        small.gamma3(),
-        q.kernel_gamma3(1),
-        expected,
-        notes,
+        datum, level, quotient_at, "gamma3", "kernel-gamma3:1", expected, notes
     )
 
 
 def check_second_derived(
-    datum: NumericalDatum,
-    level: int = 3,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt
+) -> dict:
     """Third lower-central term below one vertex against the second derived subgroup."""
-    datum.require_valid()
-    if level < 2:
-        raise CheckError("second-derived needs level >= 2")
-    cls = classify(datum)
-    if not cls.branch_over_derived:
-        raise CheckError(
-            "second-derived applies only to data with a non-symmetric vector "
-            "or joint span of dimension at least two"
-        )
-    q = quotient(datum, level, degree_guard=degree_guard, store=store)
-    small = quotient(datum, level - 1, degree_guard=degree_guard, store=store)
-    return _embedding_check(
-        "second-derived",
-        datum,
-        level,
-        small.gamma3(),
-        q.second_derived(),
-        VERIFIED,
-        notes=(),
-    )
+    return _embedding_check(datum, level, quotient_at, "gamma3", "second-derived", VERIFIED)
 
 
 def check_st1_derived_in_gamma3(
-    datum: NumericalDatum,
-    level: int = 3,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt
+) -> dict:
     """Derived subgroup of the level-1 kernel inside the third lower-central term."""
-    datum.require_valid()
-    if level < 2:
-        raise CheckError("st1-derived-in-gamma3 needs level >= 2")
-    _require_not_constant_class(datum, "st1-derived-in-gamma3")
-    cls = classify(datum)
-    q = quotient(datum, level, degree_guard=degree_guard, store=store)
+    q = quotient_at(level)
     sub = q.kernel_derived(1)
     target = q.gamma3()
     contained, bad = target.contains_chain(sub)
@@ -399,23 +315,12 @@ def check_st1_derived_in_gamma3(
             "the defect is not visible at levels up to 4; a non-containment "
             "here would be a rigorous refutation at the tested level",
         )
-    return CheckReport(
-        check="st1-derived-in-gamma3",
-        datum_text=datum.canonical_line(),
-        level=level,
-        verdict=VERIFIED if contained else REFUTED,
-        expected=VERIFIED,
-        certificates=certs,
-        notes=notes,
-    )
+    return _outcome(VERIFIED if contained else REFUTED, VERIFIED, certs, notes)
 
 
 def check_subdirect(
-    datum: NumericalDatum,
-    level: int = 3,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt
+) -> dict:
     """First-level sections of a distinguished subgroup against the full quotient.
 
     For data with a non-symmetric vector or joint span of dimension at least
@@ -423,15 +328,10 @@ def check_subdirect(
     the whole smaller quotient; otherwise the third lower-central term is
     tested the same way.
     """
-    datum.require_valid()
-    if level < 2:
-        raise CheckError("subdirect needs level >= 2")
-    _require_not_constant_class(datum, "subdirect")
-    cls = classify(datum)
     route = "derived" if cls.branch_over_derived else "gamma3"
-    q = quotient(datum, level, degree_guard=degree_guard, store=store)
+    q = quotient_at(level)
     chain = q.derived() if route == "derived" else q.gamma3()
-    full = quotient(datum, level - 1, degree_guard=degree_guard, store=store)
+    full = quotient_at(level - 1)
     full_exp = full.order_exponent()
     section_exps = [
         section_chain(chain, (x,)).order_exponent() for x in range(1, datum.p + 1)
@@ -452,34 +352,22 @@ def check_subdirect(
         "section-order-exponents": section_exps,
         "deficient-coordinates": bad,
     }
-    return CheckReport(
-        check="subdirect",
-        datum_text=datum.canonical_line(),
-        level=level,
-        verdict=VERIFIED if not bad else REFUTED,
-        expected=expected,
-        certificates=certs,
-        notes=notes,
-    )
+    return _outcome(VERIFIED if not bad else REFUTED, expected, certs, notes)
 
 
 # -- congruence subgroup property -------------------------------------------------
 
 
-def default_csp_level(datum: NumericalDatum) -> int:
-    """Default level for the positive congruence-kernel check."""
-    cls = classify(datum)
+def _csp_route(cls: Classification, datum: NumericalDatum) -> tuple[str, int]:
+    """Target subgroup and kernel level of the positive congruence-kernel check."""
     if cls.branch_over_derived:
-        return datum.total_generators + 2
-    return 6
+        return "derived", datum.total_generators + 1
+    return "gamma3", 5
 
 
 def check_csp_positive(
-    datum: NumericalDatum,
-    level: int | None = None,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt
+) -> dict:
     """A level kernel inside the predicted normal subgroup, for positive data.
 
     For data with full joint span and a branch structure over the derived
@@ -487,23 +375,8 @@ def check_csp_positive(
     the remaining positive data the level-5 kernel should lie in the third
     lower-central term, which needs level at least 6.
     """
-    datum.require_valid()
-    cls = classify(datum)
-    if cls.csp != HAS_CSP:
-        raise CheckError(
-            "csp-positive applies only to data whose classification predicts "
-            "that every finite-index subgroup is a congruence subgroup"
-        )
-    r = datum.total_generators
-    if cls.branch_over_derived:
-        route, k, min_level = "derived", r + 1, r + 2
-    else:
-        route, k, min_level = "gamma3", 5, 6
-    if level is None:
-        level = min_level
-    if level < min_level:
-        raise CheckError(f"csp-positive needs level >= {min_level} for this datum")
-    q = quotient(datum, level, degree_guard=degree_guard, store=store)
+    route, k = _csp_route(cls, datum)
+    q = quotient_at(level)
     kern = q.kernel(k)
     target = q.derived() if route == "derived" else q.gamma3()
     contained, bad = target.contains_chain(kern)
@@ -516,14 +389,7 @@ def check_csp_positive(
     }
     if bad is not None:
         _witness_cert(certs, "witness", bad)
-    return CheckReport(
-        check="csp-positive",
-        datum_text=datum.canonical_line(),
-        level=level,
-        verdict=VERIFIED if contained else REFUTED,
-        expected=VERIFIED,
-        certificates=certs,
-    )
+    return _outcome(VERIFIED if contained else REFUTED, VERIFIED, certs)
 
 
 def dependent_witness(
@@ -534,11 +400,9 @@ def dependent_witness(
     Returns (c, t1, tn): c is the target syllable, t1 the cross-family product
     congruent to it to depth 2, and tn the recursively built element that
     agrees with c to depth n while staying in the coset of t1 modulo the
-    derived subgroup.
+    derived subgroup.  The datum must have linearly dependent joint vectors.
     """
     dep = dependency(datum)
-    if dep is None:
-        raise CheckError("the joint defining vectors are linearly independent")
     p = datum.p
     c_word = GroupWord.from_syllables(p, [("b", dep.family, dep.coefficients)])
     parts: list[tuple] = []
@@ -565,12 +429,8 @@ def dependent_witness(
 
 
 def check_csp_witness_dependent(
-    datum: NumericalDatum,
-    level: int = 3,
-    aux_level: int = 5,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt, aux_level: int
+) -> dict:
     """Constructive congruence defect for linearly dependent defining vectors.
 
     Builds an element tn that agrees with the target syllable c to depth n
@@ -579,14 +439,6 @@ def check_csp_witness_dependent(
     be congruent to tn modulo the derived subgroup in the infinite group, yet
     the defect lies in every level kernel shadow tested here.
     """
-    datum.require_valid()
-    cls = classify(datum)
-    if not cls.branch_over_derived:
-        raise CheckError(
-            "csp-witness-dependent needs a branch structure over the derived subgroup"
-        )
-    if aux_level <= level:
-        raise CheckError("csp-witness-dependent needs aux level > level")
     c_word, t1_word, tn = dependent_witness(datum, level)
     c_small = evaluate(c_word, datum, level)
     tn_small = evaluate_branch(tn, datum, level)
@@ -595,7 +447,7 @@ def check_csp_witness_dependent(
     ab_c = abelianization(c_word, datum)
     ab_t1 = abelianization(t1_word, datum)
 
-    q = quotient(datum, aux_level, degree_guard=degree_guard, store=store)
+    q = quotient_at(aux_level)
     c_img = evaluate(c_word, datum, aux_level)
     t1_img = evaluate(t1_word, datum, aux_level)
     tn_img = evaluate_branch(tn, datum, aux_level)
@@ -623,26 +475,17 @@ def check_csp_witness_dependent(
         "non-congruence in the infinite group is witnessed by the different "
         "abelianization classes together with the coset certificate",
     )
-    return CheckReport(
-        check="csp-witness-dependent",
-        datum_text=datum.canonical_line(),
-        level=level,
-        aux_level=aux_level,
-        verdict=VERIFIED if ok else REFUTED,
-        expected=VERIFIED,
-        certificates=certs,
-        notes=notes,
-    )
+    return _outcome(VERIFIED if ok else REFUTED, VERIFIED, certs, notes)
 
 
 def exceptional_witness(
     datum: NumericalDatum, level: int
 ) -> tuple[GroupWord, BranchElement]:
-    """Commutator witness and its level-n stabilizer twin for exceptional pairs."""
-    pair = exceptional_pair(datum)
-    if pair is None:
-        raise CheckError("the datum has no exceptional pair of families")
-    j, k = pair
+    """Commutator witness and its level-n stabilizer twin for exceptional pairs.
+
+    The datum must lie in the exceptional class.
+    """
+    j, k = exceptional_pair(datum)
     p = datum.p
     bj = GroupWord.generator(datum, j, 1)
     bk = GroupWord.generator(datum, k, 1)
@@ -658,12 +501,8 @@ def exceptional_witness(
 
 
 def check_csp_witness_exceptional(
-    datum: NumericalDatum,
-    level: int = 2,
-    aux_level: int = 4,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt, aux_level: int
+) -> dict:
     """Constructive congruence defect for the exceptional two-family data.
 
     The commutator w of the two involved generators admits, for every n, an
@@ -673,31 +512,18 @@ def check_csp_witness_exceptional(
     first escape level, or None when the term's congruence closure already
     holds w at every tested level.
     """
-    datum.require_valid()
-    if datum.p == 3:
-        raise CheckError("the exceptional class is empty for p = 3")
-    cls = classify(datum)
-    if not cls.in_E_class:
-        raise CheckError(
-            "csp-witness-exceptional applies only to the exceptional "
-            "two-family symmetric data"
-        )
-    if level < 2:
-        raise CheckError("csp-witness-exceptional needs level >= 2")
-    if aux_level <= level:
-        raise CheckError("csp-witness-exceptional needs aux level > level")
     w, tn = exceptional_witness(datum, level)
 
     in_stab = evaluate_branch(tn, datum, level).is_identity()
 
-    q = quotient(datum, aux_level, degree_guard=degree_guard, store=store)
+    q = quotient_at(aux_level)
     w_img = evaluate(w, datum, aux_level)
     tn_img = evaluate_branch(tn, datum, aux_level)
     coset_ok = q.gamma3().contains(tn_img * ~w_img)
 
     escape_level = None
     for m in range(2, aux_level + 1):
-        qm = quotient(datum, m, degree_guard=degree_guard, store=store)
+        qm = quotient_at(m)
         if not qm.gamma3().contains(evaluate(w, datum, m)):
             escape_level = m
             break
@@ -718,27 +544,16 @@ def check_csp_witness_exceptional(
         "third lower-central term contains the witness in every tested "
         "quotient",
     )
-    return CheckReport(
-        check="csp-witness-exceptional",
-        datum_text=datum.canonical_line(),
-        level=level,
-        aux_level=aux_level,
-        verdict=VERIFIED if (in_stab and coset_ok and consistent) else REFUTED,
-        expected=VERIFIED,
-        certificates=certs,
-        notes=notes,
-    )
+    verdict = VERIFIED if (in_stab and coset_ok and consistent) else REFUTED
+    return _outcome(verdict, VERIFIED, certs, notes)
 
 
 # -- fractality and closures -------------------------------------------------------
 
 
 def check_fractality(
-    datum: NumericalDatum,
-    level: int = 3,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt
+) -> dict:
     """Sections of level stabilizers at every vertex against the full quotient.
 
     For each k below the level, the section of the level-k kernel at each
@@ -747,17 +562,12 @@ def check_fractality(
     index-p defect at k = 2 once the level reaches 4; all other data are
     predicted to stay full at every tested vertex.
     """
-    datum.require_valid()
-    if level < 2:
-        raise CheckError("fractality needs level >= 2")
-    q = quotient(datum, level, degree_guard=degree_guard, store=store)
+    q = quotient_at(level)
     per_level = []
     first_defect = None
     for k in range(1, level):
         kern = q.kernel(k)
-        full_exp = quotient(
-            datum, level - k, degree_guard=degree_guard, store=store
-        ).order_exponent()
+        full_exp = quotient_at(level - k).order_exponent()
         defects = 0
         for vertex in itertools.product(range(1, datum.p + 1), repeat=k):
             exp = section_chain(kern, vertex).order_exponent()
@@ -774,7 +584,8 @@ def check_fractality(
             {"k": k, "full-exponent": full_exp, "defect-count": defects}
         )
     notes: tuple[str, ...] = ()
-    if _constant_type(datum):
+    # Every nonempty family is a constant singleton, one family or several.
+    if cls.in_G_class or single_constant_family(datum):
         expected = VERIFIED if level <= 3 else REFUTED
         notes = (
             "for data whose families are all constant singletons the level-2 "
@@ -785,48 +596,30 @@ def check_fractality(
     certs: dict = {"levels": per_level}
     if first_defect is not None:
         certs["first-defect"] = first_defect
-    return CheckReport(
-        check="fractality",
-        datum_text=datum.canonical_line(),
-        level=level,
-        verdict=VERIFIED if first_defect is None else REFUTED,
-        expected=expected,
-        certificates=certs,
-        notes=notes,
-    )
+    verdict = VERIFIED if first_defect is None else REFUTED
+    return _outcome(verdict, expected, certs, notes)
 
 
 def check_full_section_vertex(
-    datum: NumericalDatum,
-    word: GroupWord | str,
-    depth_bound: int = 2,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt, word: GroupWord
+) -> dict:
     """Search for a vertex where a normal closure has a full section.
 
     Takes a nontrivial word, forms its normal closure in the quotient two
     levels below the search bound, and scans vertices in breadth-first order
-    for one whose section of the closure is the whole smaller quotient.
+    for one whose section of the closure is the whole smaller quotient.  The
+    level passed in is the depth bound of the search; the report gives the
+    level of the quotient, two deeper.
     """
-    datum.require_valid()
-    if isinstance(word, str):
-        word = parse_word(word, datum)
-    if is_trivial(word, datum):
-        raise CheckError("the witness word evaluates to the identity")
-    if depth_bound < 1:
-        raise CheckError("full-section-vertex needs depth bound >= 1")
+    depth_bound = level
     level = depth_bound + 2
-    cls = classify(datum)
-    q = quotient(datum, level, degree_guard=degree_guard, store=store)
+    q = quotient_at(level)
     closure = q.normal_closure([evaluate(word, datum, level)])
     found = None
     found_exp = None
     target_exp = None
     for d in range(1, depth_bound + 1):
-        full_exp = quotient(
-            datum, level - d, degree_guard=degree_guard, store=store
-        ).order_exponent()
+        full_exp = quotient_at(level - d).order_exponent()
         for vertex in itertools.product(range(1, datum.p + 1), repeat=d):
             exp = section_chain(closure, vertex).order_exponent()
             if exp == full_exp:
@@ -846,24 +639,14 @@ def check_full_section_vertex(
             "no vertex within the depth bound has a full section; a larger "
             "bound or level may still find one",
         )
-    return CheckReport(
-        check="full-section-vertex",
-        datum_text=datum.canonical_line(),
-        level=level,
-        verdict=VERIFIED if found is not None else GUARD,
-        expected=None if cls.in_G_class else VERIFIED,
-        certificates=certs,
-        notes=notes,
-    )
+    expected = None if cls.in_G_class else VERIFIED
+    verdict = VERIFIED if found is not None else GUARD
+    return {**_outcome(verdict, expected, certs, notes), "level": level}
 
 
 def check_normal_closure_blocks(
-    datum: NumericalDatum,
-    word: GroupWord | str,
-    level: int = 4,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt, word: GroupWord
+) -> dict:
     """Blocks of lower-central terms inside the normal closure of one element.
 
     For a nontrivial word, finds the first n such that the product of copies
@@ -871,24 +654,12 @@ def check_normal_closure_blocks(
     vertices lies inside the closure; outside the exceptional class the same
     search is run with derived-subgroup blocks.
     """
-    datum.require_valid()
-    cls = classify(datum)
-    if not cls.branch_over_derived:
-        raise CheckError(
-            "normal-closure-blocks needs a branch structure over the derived subgroup"
-        )
-    if isinstance(word, str):
-        word = parse_word(word, datum)
-    if is_trivial(word, datum):
-        raise CheckError("the witness word evaluates to the identity")
-    if level < 2:
-        raise CheckError("normal-closure-blocks needs level >= 2")
-    q = quotient(datum, level, degree_guard=degree_guard, store=store)
+    q = quotient_at(level)
     closure = q.normal_closure([evaluate(word, datum, level)])
 
     def first_level(descriptor: str) -> int | None:
         for n in range(1, level):
-            small = quotient(datum, level - n, degree_guard=degree_guard, store=store)
+            small = quotient_at(level - n)
             sub = small.gamma3() if descriptor == "gamma3" else small.derived()
             blocks = block_product_chain(datum.p, level, n, sub)
             if closure.contains_chain(blocks)[0]:
@@ -907,40 +678,23 @@ def check_normal_closure_blocks(
     notes: tuple[str, ...] = ()
     if not ok:
         notes = ("no block level found below the tested level; raise the level",)
-    return CheckReport(
-        check="normal-closure-blocks",
-        datum_text=datum.canonical_line(),
-        level=level,
-        verdict=VERIFIED if ok else GUARD,
-        expected=VERIFIED,
-        certificates=certs,
-        notes=notes,
-    )
+    return _outcome(VERIFIED if ok else GUARD, VERIFIED, certs, notes)
 
 
 def check_weak_csp(
-    datum: NumericalDatum,
-    level: int = 1,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt, aux_level: int
+) -> dict:
     """Derived blocks at depth n against the derived part of the level-n kernel.
 
-    In the quotient two levels deeper, the product of derived-subgroup copies
+    In the quotient at the aux level m, the product of derived-subgroup copies
     over all depth-n vertices should lie inside the image of the derived
     subgroup of the level-n stabilizer; the reverse containment holds for
     trivial reasons and is asserted as a sanity certificate.
     """
-    datum.require_valid()
-    if level < 1:
-        raise CheckError("weak-csp needs level >= 1")
-    _require_not_constant_class(datum, "weak-csp")
-    cls = classify(datum)
-    big = level + 2
-    q = quotient(datum, big, degree_guard=degree_guard, store=store)
+    q = quotient_at(aux_level)
     stab_derived = q.kernel_derived(level)
-    small = quotient(datum, big - level, degree_guard=degree_guard, store=store)
-    blocks = block_product_chain(datum.p, big, level, small.derived())
+    small = quotient_at(aux_level - level)
+    blocks = block_product_chain(datum.p, aux_level, level, small.derived())
     contained, bad = stab_derived.contains_chain(blocks)
     trivial_dir, _ = blocks.contains_chain(stab_derived)
     certs = {
@@ -952,15 +706,8 @@ def check_weak_csp(
     }
     if bad is not None:
         _witness_cert(certs, "witness", bad)
-    return CheckReport(
-        check="weak-csp",
-        datum_text=datum.canonical_line(),
-        level=level,
-        aux_level=big,
-        verdict=VERIFIED if contained else REFUTED,
-        expected=VERIFIED if cls.branch_over_derived else None,
-        certificates=certs,
-    )
+    expected = VERIFIED if cls.branch_over_derived else None
+    return _outcome(VERIFIED if contained else REFUTED, expected, certs)
 
 
 # -- constant-vector data ----------------------------------------------------------
@@ -979,13 +726,9 @@ def _index_p_subgroup(
 
 
 def check_constant_vector(
-    datum: NumericalDatum,
-    level: int = 3,
-    seed: int = DEFAULT_SEED,
-    samples: int = 20,
-    store: ChainStore | None = None,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-) -> CheckReport:
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt,
+    seed: int, samples: int,
+) -> dict:
     """Structure of the index-p subgroup for all-constant multi-family data.
 
     Certifies that the subgroup generated by the classes of b a^{-1} has index
@@ -994,23 +737,14 @@ def check_constant_vector(
     in that version's derived subgroup, and that at level 2 the derived
     subgroup meets each single-family version exactly in its derived subgroup.
     """
-    datum.require_valid()
-    cls = classify(datum)
-    if not cls.in_G_class:
-        raise CheckError(
-            "constant-vector applies only to data with two or more families, "
-            "all constant singletons"
-        )
-    if level < 2:
-        raise CheckError("constant-vector needs level >= 2")
     p = datum.p
     fams = datum.nonempty_families
-    q = quotient(datum, level, degree_guard=degree_guard, store=store)
+    q = quotient_at(level)
     k_chain = _index_p_subgroup(datum, q, fams)
     index_exp = q.order_exponent() - k_chain.order_exponent()
     contains_derived = k_chain.contains_chain(q.derived())[0]
 
-    small = quotient(datum, level - 1, degree_guard=degree_guard, store=store)
+    small = quotient_at(level - 1)
     k_small = _index_p_subgroup(datum, small, fams)
     k_small_derived = derived_chain(p, level - 1, tuple(k_small.pivots()))
     k_derived = derived_chain(p, level, tuple(k_chain.pivots()))
@@ -1038,7 +772,7 @@ def check_constant_vector(
             if not kj_derived.contains(star):
                 star_fails += 1
 
-    q2 = quotient(datum, 2, degree_guard=degree_guard, store=store)
+    q2 = quotient_at(2)
     k2 = _index_p_subgroup(datum, q2, fams)
     k2_derived = derived_chain(p, 2, tuple(k2.pivots()))
     k2_derived_elems = k2_derived.elements()
@@ -1064,36 +798,106 @@ def check_constant_vector(
         and star_fails == 0
         and all(intersection_ok)
     )
-    return CheckReport(
-        check="constant-vector",
-        datum_text=datum.canonical_line(),
-        level=level,
-        verdict=VERIFIED if ok else REFUTED,
-        expected=VERIFIED,
-        certificates=certs,
-        seed=seed,
-    )
+    return _outcome(VERIFIED if ok else REFUTED, VERIFIED, certs)
 
 
-# -- dispatch and the default suite -------------------------------------------------
+# -- the check table -----------------------------------------------------------------
+
+# A precondition: a test on the classification and the datum, and the error
+# message when it fails; "{name}" in the message becomes the check's name.
+Requirement = tuple[Callable[[Classification, NumericalDatum], bool], str]
+
+NOT_CONSTANT_CLASS: Requirement = (lambda cls, datum: not cls.in_G_class, "{name} does not apply "
+    "to data whose families are all constant singletons across two or more families")
+BRANCH_OVER_DERIVED: Requirement = (lambda cls, datum: cls.branch_over_derived,
+    "{name} needs a branch structure over the derived subgroup")
+NON_SYMMETRIC_OR_SPAN_TWO: Requirement = (lambda cls, datum: cls.branch_over_derived, "{name} "
+    "applies only to data with a non-symmetric vector or joint span of dimension at least two")
+CSP_PREDICTED: Requirement = (lambda cls, datum: cls.csp == HAS_CSP, "{name} applies only to data "
+    "whose classification predicts that every finite-index subgroup is a congruence subgroup")
+DEPENDENT_VECTORS: Requirement = (lambda cls, datum: dependency(datum) is not None,
+    "the joint defining vectors are linearly independent")
+P_ABOVE_3: Requirement = (lambda cls, datum: datum.p != 3,
+    "the exceptional class is empty for p = 3")
+EXCEPTIONAL_CLASS: Requirement = (lambda cls, datum: cls.in_E_class,
+    "{name} applies only to the exceptional two-family symmetric data")
+CONSTANT_CLASS: Requirement = (lambda cls, datum: cls.in_G_class,
+    "{name} applies only to data with two or more families, all constant singletons")
 
 
-CHECK_NAMES = (
-    "abelianization-index",
-    "branch-over-derived",
-    "branch-over-gamma3",
-    "st1-derived-in-gamma3",
-    "subdirect",
-    "second-derived",
-    "csp-positive",
-    "csp-witness-dependent",
-    "csp-witness-exceptional",
-    "fractality",
-    "full-section-vertex",
-    "normal-closure-blocks",
-    "weak-csp",
-    "constant-vector",
-)
+@dataclass(frozen=True)
+class CheckSpec:
+    """What one check needs and where the default suite runs it.
+
+    `level` is the default level, None for the minimum level; `min_level` is
+    a number or a function of the classification and the datum.  A check with
+    an aux level m takes m = level + `aux` by default and needs m > level.
+    `suite_level` maps the classification and the default level to the level
+    the suite uses, or to None to leave the datum out; `suite_data` limits the
+    suite rows to the named data, which it runs with the word `SUITE_WORD`.
+    """
+
+    run: Callable[..., dict]
+    level: int | None = 3
+    min_level: int | Callable[[Classification, NumericalDatum], int] = 2
+    aux: int | None = None
+    word: bool = False
+    seeded: bool = False
+    requires: tuple[Requirement, ...] = ()
+    suite_level: Callable[[Classification, int], int | None] | None = None
+    suite_data: tuple[str, ...] | None = None
+
+    def applies(self, cls: Classification, datum: NumericalDatum) -> str | None:
+        """The message of the first precondition the datum fails, or None."""
+        for holds, message in self.requires:
+            if not holds(cls, datum):
+                return message
+        return None
+
+    def levels(self, cls: Classification, datum: NumericalDatum) -> tuple[int, int]:
+        """(minimum level, default level) for this datum."""
+        low = self.min_level(cls, datum) if callable(self.min_level) else self.min_level
+        return low, low if self.level is None else self.level
+
+
+CHECKS: dict[str, CheckSpec] = {
+    "abelianization-index": CheckSpec(check_abelianization_index),
+    "branch-over-derived": CheckSpec(check_branch_over_derived),
+    "branch-over-gamma3": CheckSpec(check_branch_over_gamma3, requires=(NOT_CONSTANT_CLASS,)),
+    "st1-derived-in-gamma3": CheckSpec(check_st1_derived_in_gamma3, requires=(NOT_CONSTANT_CLASS,)),
+    "subdirect": CheckSpec(check_subdirect, requires=(NOT_CONSTANT_CLASS,)),
+    "second-derived": CheckSpec(check_second_derived, requires=(NON_SYMMETRIC_OR_SPAN_TWO,)),
+    # The default level is the minimum; the suite leaves out the gamma3 route,
+    # whose level 6 is too deep for it.
+    "csp-positive": CheckSpec(
+        check_csp_positive, level=None, min_level=lambda cls, datum: _csp_route(cls, datum)[1] + 1,
+        requires=(CSP_PREDICTED,), suite_level=lambda cls, n: n if cls.branch_over_derived else None
+    ),
+    "csp-witness-dependent": CheckSpec(
+        check_csp_witness_dependent, min_level=0, aux=2,
+        requires=(BRANCH_OVER_DERIVED, DEPENDENT_VECTORS),
+    ),
+    "csp-witness-exceptional": CheckSpec(
+        check_csp_witness_exceptional, level=2, aux=2, requires=(P_ABOVE_3, EXCEPTIONAL_CLASS)
+    ),
+    "fractality": CheckSpec(
+        check_fractality, suite_level=lambda cls, n: 4 if cls.in_G_class else n
+    ),
+    "full-section-vertex": CheckSpec(
+        check_full_section_vertex, level=2, min_level=1, word=True, suite_data=("single-12",)
+    ),
+    "normal-closure-blocks": CheckSpec(
+        check_normal_closure_blocks, level=4, word=True, requires=(BRANCH_OVER_DERIVED,),
+        suite_data=("single-12",),
+    ),
+    "weak-csp": CheckSpec(
+        check_weak_csp, level=1, min_level=1, aux=2, requires=(NOT_CONSTANT_CLASS,),
+        suite_data=("single-12",),
+    ),
+    "constant-vector": CheckSpec(check_constant_vector, seeded=True, requires=(CONSTANT_CLASS,)),
+}
+
+CHECK_NAMES = tuple(CHECKS)
 
 
 def run_check(
@@ -1101,50 +905,54 @@ def run_check(
     datum: NumericalDatum,
     level: int | None = None,
     aux_level: int | None = None,
-    word: str | None = None,
+    word: GroupWord | str | None = None,
     seed: int = DEFAULT_SEED,
-    samples: int = 20,
+    samples: int = DEFAULT_SAMPLES,
     store: ChainStore | None = None,
     degree_guard: int = DEFAULT_DEGREE_GUARD,
 ) -> CheckReport:
-    """Run one named check with defaults filled in."""
-    if name not in CHECK_NAMES:
+    """Run one named check with defaults filled in from its table entry.
+
+    The shared preamble classifies the datum (which validates it), tests the
+    check's preconditions, parses and tests the witness word where the check
+    takes one, and fills in and bounds the levels.
+    """
+    spec = CHECKS.get(name)
+    if spec is None:
         raise CheckError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    kw = {"store": store, "degree_guard": degree_guard}
-    if name == "csp-positive":
-        return check_csp_positive(datum, level, **kw)
-    if name == "csp-witness-dependent":
-        level = 3 if level is None else level
-        aux = aux_level if aux_level is not None else level + 2
-        return check_csp_witness_dependent(datum, level, aux, **kw)
-    if name == "csp-witness-exceptional":
-        level = 2 if level is None else level
-        aux = aux_level if aux_level is not None else level + 2
-        return check_csp_witness_exceptional(datum, level, aux, **kw)
-    if name == "full-section-vertex":
+    cls = classify(datum)
+    problem = spec.applies(cls, datum)
+    if problem is not None:
+        raise CheckError(problem.format(name=name))
+    extra: dict = {}
+    if spec.word:
         if word is None:
-            raise CheckError("full-section-vertex needs a witness word")
-        return check_full_section_vertex(datum, word, 2 if level is None else level, **kw)
-    if name == "normal-closure-blocks":
-        if word is None:
-            raise CheckError("normal-closure-blocks needs a witness word")
-        return check_normal_closure_blocks(datum, word, 4 if level is None else level, **kw)
-    if name == "weak-csp":
-        return check_weak_csp(datum, 1 if level is None else level, **kw)
-    if name == "constant-vector":
-        return check_constant_vector(
-            datum, 3 if level is None else level, seed=seed, samples=samples, **kw
-        )
-    simple = {
-        "abelianization-index": check_abelianization_index,
-        "branch-over-derived": check_branch_over_derived,
-        "branch-over-gamma3": check_branch_over_gamma3,
-        "st1-derived-in-gamma3": check_st1_derived_in_gamma3,
-        "subdirect": check_subdirect,
-        "second-derived": check_second_derived,
-        "fractality": check_fractality,
-    }
-    return simple[name](datum, 3 if level is None else level, **kw)
+            raise CheckError(f"{name} needs a witness word")
+        if isinstance(word, str):
+            word = parse_word(word, datum)
+        if is_trivial(word, datum):
+            raise CheckError("the witness word evaluates to the identity")
+        extra["word"] = word
+    min_level, default_level = spec.levels(cls, datum)
+    if level is None:
+        level = default_level
+    if level < min_level:
+        for_datum = " for this datum" if callable(spec.min_level) else ""
+        raise CheckError(f"{name} needs level >= {min_level}{for_datum}")
+    if spec.aux is None:
+        aux_level = None
+    else:
+        if aux_level is None:
+            aux_level = level + spec.aux
+        if aux_level <= level:
+            raise CheckError(f"{name} needs aux level > level")
+        extra["aux_level"] = aux_level
+    if spec.seeded:
+        extra.update(seed=seed, samples=samples)
+    quotient_at = partial(quotient, datum, degree_guard=degree_guard, store=store)
+    fields = {"level": level, "aux_level": aux_level, "seed": extra.get("seed")}
+    fields.update(spec.run(datum, cls, level, quotient_at, **extra))
+    return CheckReport(check=name, datum_text=datum.canonical_line(), **fields)
 
 
 SUITE_DATA = (
@@ -1162,46 +970,33 @@ SUITE_DATA = (
     ("p5-generic", "p = 5; E1 = (1, 2, 0, 0)"),
 )
 
-_SUITE_WITNESS_ROWS = {
-    "single-12": (
-        ("full-section-vertex", {"word": "a", "level": 2}),
-        ("normal-closure-blocks", {"word": "a", "level": 4}),
-        ("weak-csp", {"level": 1}),
-    ),
-}
+SUITE_WORD = "a"
 
 
 def suite_plan() -> list[tuple[str, str, str, dict]]:
-    """Deterministic (datum name, datum text, check name, kwargs) rows."""
+    """Deterministic (datum name, datum text, check name, kwargs) rows.
+
+    For each suite datum, in table order, every check that applies to it and
+    whose `suite_level` and `suite_data` keep it.
+    """
     rows = []
     for name, text in SUITE_DATA:
         datum = NumericalDatum.from_text(text)
         cls = classify(datum)
-        rows.append((name, text, "abelianization-index", {"level": 3}))
-        rows.append((name, text, "branch-over-derived", {"level": 3}))
-        if not cls.in_G_class:
-            rows.append((name, text, "branch-over-gamma3", {"level": 3}))
-            rows.append((name, text, "st1-derived-in-gamma3", {"level": 3}))
-            rows.append((name, text, "subdirect", {"level": 3}))
-        if cls.branch_over_derived:
-            rows.append((name, text, "second-derived", {"level": 3}))
-        if cls.csp == HAS_CSP and cls.branch_over_derived:
-            rows.append((name, text, "csp-positive", {"level": None}))
-        if cls.branch_over_derived and dependency(datum) is not None:
-            rows.append(
-                (name, text, "csp-witness-dependent", {"level": 3, "aux_level": 5})
-            )
-        if cls.in_E_class:
-            rows.append(
-                (name, text, "csp-witness-exceptional", {"level": 2, "aux_level": 4})
-            )
-        rows.append(
-            (name, text, "fractality", {"level": 4 if cls.in_G_class else 3})
-        )
-        for check, kwargs in _SUITE_WITNESS_ROWS.get(name, ()):
-            rows.append((name, text, check, dict(kwargs)))
-        if cls.in_G_class:
-            rows.append((name, text, "constant-vector", {"level": 3}))
+        for check, spec in CHECKS.items():
+            if spec.applies(cls, datum) is not None:
+                continue
+            if spec.suite_data is not None and name not in spec.suite_data:
+                continue
+            level = spec.levels(cls, datum)[1]
+            if spec.suite_level is not None:
+                level = spec.suite_level(cls, level)
+                if level is None:
+                    continue
+            kwargs: dict = {"level": level}
+            if spec.word:
+                kwargs["word"] = SUITE_WORD
+            rows.append((name, text, check, kwargs))
     return rows
 
 

@@ -12,43 +12,26 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .chains import ChainStore, DEFAULT_DEGREE_GUARD, DegreeGuardError, quotient
 from .checks import (
-    CHECK_NAMES,
+    CHECKS,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     CheckError,
     CheckReport,
-    DEFAULT_SEED,
+    dependent_witness,
+    exceptional_witness,
     run_check,
     run_suite,
 )
 from .datum import DatumError, NumericalDatum, classify
-from .words import ExceedsCap, GuardExceeded, WordError, order, parse_word
+from .words import ExceedsCap, GuardExceeded, WordError, order, parse_word, word_to_text
 
 EXIT_OK = 0
 EXIT_DEVIATION = 1
 EXIT_GUARD = 2
 EXIT_INPUT = 3
-
-
-@dataclass
-class RunConfig:
-    """Parsed command configuration; every emitted report records the seed."""
-
-    command: str
-    datum_text: str
-    level: int | None
-    aux_level: int | None
-    cache_dir: str | None
-    degree_guard: int
-    seed: int
-    json_report: str | None
-    word: str | None = None
-    cap: int | None = None
-    kind: str | None = None
-    check: str | None = None
-    samples: int = 20
 
 
 def _load_datum(value: str) -> NumericalDatum:
@@ -79,66 +62,54 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    datum = _load_datum(cfg.datum_text)
+def cmd_classify(args: argparse.Namespace) -> int:
+    datum = _load_datum(args.datum)
     cls = classify(datum)
+    fields = {
+        "datum": datum.canonical_line(),
+        "generators": datum.total_generators,
+        "joint_span_dimension": cls.dimV,
+        "torsion": cls.torsion,
+        "constant_class": cls.in_G_class,
+        "symmetric_class": cls.in_S_class,
+        "exceptional_class": cls.in_E_class,
+        "branch_over_derived": cls.branch_over_derived,
+        "branch_over_gamma3_only": cls.branch_over_gamma3_only,
+        "not_branch": cls.not_branch,
+        "csp": cls.csp,
+    }
     lines = [
-        f"datum: {datum.canonical_line()}",
-        f"generators: {datum.total_generators}",
-        f"joint-span-dimension: {cls.dimV}",
-        f"torsion: {_yes(cls.torsion)}",
-        f"constant-class: {_yes(cls.in_G_class)}",
-        f"symmetric-class: {_yes(cls.in_S_class)}",
-        f"exceptional-class: {_yes(cls.in_E_class)}",
-        f"branch-over-derived: {_yes(cls.branch_over_derived)}",
-        f"branch-over-gamma3-only: {_yes(cls.branch_over_gamma3_only)}",
-        f"not-branch: {_yes(cls.not_branch)}",
-        f"csp: {cls.csp}",
-        "reasons:",
+        f"{key.replace('_', '-')}: {_yes(value) if isinstance(value, bool) else value}"
+        for key, value in fields.items()
     ]
+    lines.append("reasons:")
     lines.extend(f"  - {reason}" for reason in cls.reasons)
-    text = "\n".join(lines)
-    print(text)
+    print("\n".join(lines))
     _write_json(
-        cfg.json_report,
-        {
-            "command": "classify",
-            "seed": cfg.seed,
-            "datum": datum.canonical_line(),
-            "generators": datum.total_generators,
-            "joint_span_dimension": cls.dimV,
-            "torsion": cls.torsion,
-            "constant_class": cls.in_G_class,
-            "symmetric_class": cls.in_S_class,
-            "exceptional_class": cls.in_E_class,
-            "branch_over_derived": cls.branch_over_derived,
-            "branch_over_gamma3_only": cls.branch_over_gamma3_only,
-            "not_branch": cls.not_branch,
-            "csp": cls.csp,
-            "reasons": list(cls.reasons),
-        },
+        args.json_report,
+        {"command": "classify", "seed": args.seed, **fields, "reasons": list(cls.reasons)},
     )
     return EXIT_OK
 
 
-def cmd_quotient(cfg: RunConfig) -> int:
-    datum = _load_datum(cfg.datum_text)
-    if cfg.level is None or cfg.level < 1:
+def cmd_quotient(args: argparse.Namespace) -> int:
+    datum = _load_datum(args.datum)
+    if args.level is None or args.level < 1:
         raise CheckError("quotient needs --level >= 1")
-    store = ChainStore(cfg.cache_dir)
-    q = quotient(datum, cfg.level, degree_guard=cfg.degree_guard, store=store)
+    store = ChainStore(args.cache_dir)
+    q = quotient(datum, args.level, degree_guard=args.modulus_guard, store=store)
     dims = q.full().dims()
     total = sum(dims)
     p = datum.p
     lines = [
         f"datum: {datum.canonical_line()}",
-        f"level: {cfg.level}",
+        f"level: {args.level}",
         f"order: {p}^{total}",
         "layers:",
     ]
     rows = []
     prefix = 0
-    for k in range(1, cfg.level + 1):
+    for k in range(1, args.level + 1):
         layer = dims[k - 1]
         prefix += layer
         rows.append({"k": k, "quotient": prefix, "kernel": total - prefix, "layer": layer})
@@ -147,12 +118,12 @@ def cmd_quotient(cfg: RunConfig) -> int:
         )
     print("\n".join(lines))
     _write_json(
-        cfg.json_report,
+        args.json_report,
         {
             "command": "quotient",
-            "seed": cfg.seed,
+            "seed": args.seed,
             "datum": datum.canonical_line(),
-            "level": cfg.level,
+            "level": args.level,
             "p": p,
             "order_exponent": total,
             "layers": rows,
@@ -161,38 +132,38 @@ def cmd_quotient(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    datum = _load_datum(cfg.datum_text)
-    store = ChainStore(cfg.cache_dir)
+def cmd_check(args: argparse.Namespace) -> int:
+    datum = _load_datum(args.datum)
+    store = ChainStore(args.cache_dir)
     report = run_check(
-        cfg.check,
+        args.check,
         datum,
-        level=cfg.level,
-        aux_level=cfg.aux_level,
-        word=cfg.word,
-        seed=cfg.seed,
-        samples=cfg.samples,
+        level=args.level,
+        aux_level=args.aux_level,
+        word=args.word,
+        seed=args.seed,
+        samples=args.samples,
         store=store,
-        degree_guard=cfg.degree_guard,
+        degree_guard=args.modulus_guard,
     )
     print(report.to_text())
     _write_json(
-        cfg.json_report,
-        {"command": "check", "seed": cfg.seed, "report": report.to_json()},
+        args.json_report,
+        {"command": "check", "seed": args.seed, "report": report.to_json()},
     )
     return _report_exit(report)
 
 
-def cmd_order(cfg: RunConfig) -> int:
-    datum = _load_datum(cfg.datum_text)
-    word = parse_word(cfg.word, datum)
-    cap = cfg.cap if cfg.cap is not None else datum.p**12
-    lines = [f"datum: {datum.canonical_line()}", f"word: {cfg.word}"]
+def cmd_order(args: argparse.Namespace) -> int:
+    datum = _load_datum(args.datum)
+    word = parse_word(args.word, datum)
+    cap = args.cap if args.cap is not None else datum.p**12
+    lines = [f"datum: {datum.canonical_line()}", f"word: {args.word}"]
     payload = {
         "command": "order",
-        "seed": cfg.seed,
+        "seed": args.seed,
         "datum": datum.canonical_line(),
-        "word": cfg.word,
+        "word": args.word,
         "cap": cap,
     }
     try:
@@ -204,13 +175,11 @@ def cmd_order(cfg: RunConfig) -> int:
         payload["order"] = None
         payload["exceeds_cap"] = True
     print("\n".join(lines))
-    _write_json(cfg.json_report, payload)
+    _write_json(args.json_report, payload)
     return EXIT_OK
 
 
 def _branch_text(element, datum) -> str:
-    from .words import word_to_text
-
     if element.children is None:
         if element.word.is_empty():
             return "1"
@@ -220,38 +189,34 @@ def _branch_text(element, datum) -> str:
     return f"{head}({inner})"
 
 
-def cmd_witness(cfg: RunConfig) -> int:
-    datum = _load_datum(cfg.datum_text)
-    store = ChainStore(cfg.cache_dir)
-    if cfg.kind == "no-csp":
-        from .checks import check_csp_witness_dependent, dependent_witness
+# Witness kind: the check that certifies it, and the builder whose last value
+# is the witness element at the check's level.
+WITNESSES = {
+    "no-csp": ("csp-witness-dependent", dependent_witness),
+    "exceptional": ("csp-witness-exceptional", exceptional_witness),
+}
 
-        level = cfg.level if cfg.level is not None else 3
-        aux = cfg.aux_level if cfg.aux_level is not None else level + 2
-        report = check_csp_witness_dependent(
-            datum, level, aux, store=store, degree_guard=cfg.degree_guard
-        )
-        _, _, element = dependent_witness(datum, level)
-    elif cfg.kind == "exceptional":
-        from .checks import check_csp_witness_exceptional, exceptional_witness
 
-        level = cfg.level if cfg.level is not None else 2
-        aux = cfg.aux_level if cfg.aux_level is not None else level + 2
-        report = check_csp_witness_exceptional(
-            datum, level, aux, store=store, degree_guard=cfg.degree_guard
-        )
-        _, element = exceptional_witness(datum, level)
-    else:
-        raise CheckError(f"unknown witness kind {cfg.kind!r}; known: no-csp, exceptional")
-    witness_text = _branch_text(element, datum)
+def cmd_witness(args: argparse.Namespace) -> int:
+    datum = _load_datum(args.datum)
+    check, build = WITNESSES[args.kind]
+    report = run_check(
+        check,
+        datum,
+        level=args.level,
+        aux_level=args.aux_level,
+        store=ChainStore(args.cache_dir),
+        degree_guard=args.modulus_guard,
+    )
+    witness_text = _branch_text(build(datum, report.level)[-1], datum)
     print(f"witness-element: {witness_text}")
     print(report.to_text())
     _write_json(
-        cfg.json_report,
+        args.json_report,
         {
             "command": "witness",
-            "seed": cfg.seed,
-            "kind": cfg.kind,
+            "seed": args.seed,
+            "kind": args.kind,
             "witness_element": witness_text,
             "report": report.to_json(),
         },
@@ -259,10 +224,10 @@ def cmd_witness(cfg: RunConfig) -> int:
     return _report_exit(report)
 
 
-def cmd_suite(cfg: RunConfig) -> int:
-    store = ChainStore(cfg.cache_dir)
-    rows = run_suite(store=store, degree_guard=cfg.degree_guard, seed=cfg.seed)
-    lines = [f"suite: {len(rows)} checks, seed {cfg.seed}"]
+def cmd_suite(args: argparse.Namespace) -> int:
+    store = ChainStore(args.cache_dir)
+    rows = run_suite(store=store, degree_guard=args.modulus_guard, seed=args.seed)
+    lines = [f"suite: {len(rows)} checks, seed {args.seed}"]
     worst = EXIT_OK
     predicted = 0
     for name, report in rows:
@@ -279,10 +244,10 @@ def cmd_suite(cfg: RunConfig) -> int:
     lines.append(f"summary: {predicted} of {len(rows)} checks as predicted")
     print("\n".join(lines))
     _write_json(
-        cfg.json_report,
+        args.json_report,
         {
             "command": "suite",
-            "seed": cfg.seed,
+            "seed": args.seed,
             "rows": [
                 {"name": name, "report": report.to_json()} for name, report in rows
             ],
@@ -330,10 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
         "quotient", parents=[common], help="print quotient orders and kernel layers"
     )
     p_check = sub.add_parser("check", parents=[common], help="run one finite-level check")
-    p_check.add_argument("check", choices=CHECK_NAMES, metavar="check")
+    p_check.add_argument("check", choices=list(CHECKS), metavar="check")
     p_check.add_argument("--word", default=None, help="witness word for checks that take one")
     p_check.add_argument(
-        "--samples", type=int, default=20, help="sample count for seeded certificates"
+        "--samples", type=int, default=DEFAULT_SAMPLES, help="sample count for seeded certificates"
     )
     p_order = sub.add_parser("order", parents=[common], help="order of a word's image")
     p_order.add_argument("word", help="word, e.g. 'a b[1,1]^2'")
@@ -341,29 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness = sub.add_parser(
         "witness", parents=[common], help="build and certify a congruence-defect witness"
     )
-    p_witness.add_argument("kind", choices=["no-csp", "exceptional"], metavar="kind")
+    p_witness.add_argument("kind", choices=list(WITNESSES), metavar="kind")
     sub.add_parser("suite", parents=[common], help="run the default check matrix")
     return parser
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    if args.command != "suite" and not args.datum:
-        raise CheckError(f"{args.command} needs --datum")
-    return RunConfig(
-        command=args.command,
-        datum_text=args.datum or "",
-        level=args.level,
-        aux_level=args.aux_level,
-        cache_dir=args.cache_dir,
-        degree_guard=args.modulus_guard,
-        seed=args.seed,
-        json_report=args.json_report,
-        word=getattr(args, "word", None),
-        cap=getattr(args, "cap", None),
-        kind=getattr(args, "kind", None),
-        check=getattr(args, "check", None),
-        samples=getattr(args, "samples", 20),
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -381,11 +326,10 @@ def main(argv: list[str] | None = None) -> int:
         "suite": cmd_suite,
     }
     try:
-        return handlers[args.command](_config(args))
-    except DegreeGuardError as exc:
-        print(f"guard exceeded: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except GuardExceeded as exc:
+        if args.command != "suite" and not args.datum:
+            raise CheckError(f"{args.command} needs --datum")
+        return handlers[args.command](args)
+    except (DegreeGuardError, GuardExceeded) as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (DatumError, WordError, CheckError, FileNotFoundError, OSError) as exc:

@@ -60,10 +60,6 @@ class NumericalDatum:
         return tuple(j for j in range(1, self.p + 1) if self.families[j - 1])
 
     @property
-    def family_sizes(self) -> tuple[int, ...]:
-        return tuple(len(f) for f in self.families)
-
-    @property
     def total_generators(self) -> int:
         return sum(len(f) for f in self.families)
 
@@ -72,13 +68,6 @@ class NumericalDatum:
         for fam in self.families:
             out.extend(fam)
         return out
-
-    def generator_names(self) -> tuple[str, ...]:
-        names = ["a"]
-        for j in self.nonempty_families:
-            for i in range(1, len(self.family(j)) + 1):
-                names.append(f"b[{j},{i}]")
-        return tuple(names)
 
     # -- validation ----------------------------------------------------------
 
@@ -237,14 +226,10 @@ def generator_portrait(datum: NumericalDatum, j: int, i: int, depth: int) -> Por
     return _generator_portrait_cached(datum, j, i, depth)
 
 
-def rooted_portrait(datum: NumericalDatum, depth: int, k: int = 1) -> Portrait:
-    return Portrait.rooted(datum.p, depth, k)
-
-
 def generator_portraits(datum: NumericalDatum, depth: int) -> dict[str, Portrait]:
     """All generator portraits keyed by name, rooted generator first."""
     datum.require_valid()
-    out = {"a": rooted_portrait(datum, depth)}
+    out = {"a": Portrait.rooted(datum.p, depth, 1)}
     for j in datum.nonempty_families:
         for i in range(1, len(datum.family(j)) + 1):
             out[f"b[{j},{i}]"] = generator_portrait(datum, j, i, depth)

@@ -404,12 +404,6 @@ class BranchElement:
             raise WordError(f"internal node needs {p} children, got {len(kids)}")
         return cls(p=p, alpha=alpha % p, children=kids)
 
-    @property
-    def decomposition_depth(self) -> int:
-        if self.children is None:
-            return 0
-        return 1 + max(child.decomposition_depth for child in self.children)
-
 
 def evaluate_branch(element: BranchElement, datum: NumericalDatum, depth: int) -> Portrait:
     """Portrait of a branch element at the given depth; total on all inputs."""

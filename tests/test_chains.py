@@ -3,16 +3,20 @@ import os
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from megs.chains import (
     ChainStore,
     DegreeGuardError,
+    SubgroupChain,
     block_product_chain,
+    chain_digest,
     embed_pivots,
     quotient,
     section_chain,
 )
+from megs.cli import main
 from megs.datum import NumericalDatum, generator_portraits
 from megs.portraits import Portrait, commutator
 
@@ -185,6 +189,72 @@ def test_chain_store_rebuilds_corrupt_entries(tmp_path):
     assert rebuilt.order() == chain.order()
     for path in tmp_path.glob("chain-*.json"):
         json.loads(path.read_text())
+
+
+def _pop_last_pivot(data):
+    data["levels"][-1].pop()
+
+
+def _old_format(data):
+    data["v"] = 1
+
+
+def _digest_of(data):
+    """The digest the store writes for this content, so only the pivot checks can object."""
+    p, depth = data["p"], data["depth"]
+    chain = SubgroupChain(p, depth, gens=tuple(Portrait(p, depth, g) for g in data["gens"]))
+    for d, lv in enumerate(data["levels"]):
+        for col, row, rep in lv:
+            chain.levels[d].append((col, np.array(row, dtype=np.int64), Portrait(p, depth, rep)))
+    return chain_digest(chain)
+
+
+def _edit_row_and_digest(data):
+    col, row, _ = data["levels"][1][0]
+    row[col] = 2
+    data["sha256"] = _digest_of(data)
+
+
+def _rep_moves_upper_level_and_digest(data):
+    data["levels"][2][0][2][0] = 1
+    data["sha256"] = _digest_of(data)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_pop_last_pivot, _old_format, _edit_row_and_digest, _rep_moves_upper_level_and_digest],
+)
+def test_chain_store_rebuilds_edited_entries(tmp_path, edit):
+    chain = quotient(GS, 3, store=ChainStore(cache_dir=str(tmp_path))).full()
+    (path,) = tmp_path.glob("chain-*.json")
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    builds = []
+
+    def builder():
+        builds.append(1)
+        return quotient(GS, 3).full()
+
+    rebuilt = ChainStore(cache_dir=str(tmp_path)).get_or_build(GS, 3, "full", builder)
+    assert builds == [1]
+    assert rebuilt.dims() == chain.dims()
+    reloaded = ChainStore(cache_dir=str(tmp_path)).get_or_build(GS, 3, "full", builder)
+    assert builds == [1]
+    assert reloaded.dims() == chain.dims()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_quotient_order_survives_a_popped_cached_pivot(tmp_path, capsys):
+    args = ["quotient", "--datum", "p = 3; E1 = (1, 2)", "--level", "4", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    assert "order: 3^19" in capsys.readouterr().out
+    (path,) = tmp_path.glob("chain-*.json")
+    data = json.loads(path.read_text())
+    data["levels"][3].pop()
+    path.write_text(json.dumps(data))
+    assert main(args) == 0
+    assert "order: 3^19" in capsys.readouterr().out
 
 
 def test_degree_guard():

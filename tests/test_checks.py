@@ -1,10 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from megs.chains import ChainStore
 from megs.checks import (
     CHECK_NAMES,
+    CHECKS,
     REFUTED,
     VERIFIED,
     CheckError,
@@ -12,13 +15,15 @@ from megs.checks import (
     run_suite,
     suite_plan,
 )
-from megs.datum import NumericalDatum
+from megs.cli import main
+from megs.datum import NumericalDatum, classify
 
 GS = NumericalDatum.from_text("p = 3; E1 = (1, 2)")
 S22 = NumericalDatum.from_text("p = 3; E1 = (2, 2)")
 DEP = NumericalDatum.from_text("p = 3; E1 = (1, 2); E2 = (1, 2)")
 CONST = NumericalDatum.from_text("p = 3; E1 = (1, 1); E2 = (1, 1)")
 P5E = NumericalDatum.from_text("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)")
+P5S = NumericalDatum.from_text("p = 5; E1 = (1, 0, 0, 1)")
 
 STORE = ChainStore()
 
@@ -186,3 +191,58 @@ def test_suite_rows_for_one_datum_run_as_predicted():
         datum = NumericalDatum.from_text(text)
         report = run_check(check, datum, store=STORE, **kwargs)
         assert report.as_predicted, (check, report.verdict, report.expected)
+
+
+# For every check with preconditions, data that fail each of them in turn.
+OUTSIDE = {
+    "branch-over-gamma3": [CONST],
+    "st1-derived-in-gamma3": [CONST],
+    "subdirect": [CONST],
+    "second-derived": [S22],
+    "csp-positive": [DEP],
+    "csp-witness-dependent": [S22, GS],
+    "csp-witness-exceptional": [GS, P5S],
+    "normal-closure-blocks": [S22],
+    "weak-csp": [CONST],
+    "constant-vector": [GS],
+}
+
+
+@pytest.mark.parametrize(
+    "name, datum",
+    [(name, datum) for name, spec in CHECKS.items() if spec.requires for datum in OUTSIDE[name]],
+)
+def test_preconditions_reject_data_outside_them(name, datum, capsys):
+    message = CHECKS[name].applies(classify(datum), datum)
+    assert message is not None
+    with pytest.raises(CheckError) as info:
+        run(name, datum, word="a")
+    assert str(info.value) == message.format(name=name)
+    assert main(["check", name, "--datum", datum.canonical_line(), "--word", "a"]) == 3
+    assert str(info.value) in capsys.readouterr().err
+
+
+def test_every_precondition_has_an_outside_datum():
+    for name, spec in CHECKS.items():
+        failed = {spec.applies(classify(datum), datum) for datum in OUTSIDE.get(name, [])}
+        assert failed == {message for _, message in spec.requires}, name
+
+
+def test_readme_check_table_matches_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| ([a-z0-9-]+) \| ([^|]+) \|", readme, re.M)
+    assert rows[0] == ("check", "default n")
+    rows = rows[1:]
+    assert [name for name, _ in rows] == list(CHECKS)
+    for name, cell in rows:
+        spec = CHECKS[name]
+        if spec.level is None:
+            # csp-positive defaults to its minimum level: r+2, or 6 on the gamma3 route.
+            assert cell.strip() == "r+2 or 6"
+            assert spec.levels(classify(GS), GS)[1] == GS.total_generators + 2
+            assert spec.levels(classify(S22), S22)[1] == 6
+            continue
+        want = str(spec.level)
+        if spec.aux is not None:
+            want += f", aux {spec.level + spec.aux}"
+        assert cell.strip() == want, name
