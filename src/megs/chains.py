@@ -67,19 +67,28 @@ class SubgroupChain:
     # -- membership -----------------------------------------------------------
 
     def sift(self, g: Portrait) -> tuple[int | None, Portrait]:
-        """Reduce g level by level. Returns (failing level or None, residual)."""
-        p = self.p
+        """Reduce g level by level. Returns (failing level or None, residual).
+
+        A reduction step by c times a pivot is c scatters of the residual's
+        leaf permutation through the pivot's permutation.
+        """
+        p, depth = self.p, self.depth
         residual = g
-        for d in range(self.depth):
-            block = residual.level_labels(d)
-            if not block.any():
+        for d in range(depth):
+            v = residual.level_labels(d).astype(np.int64)
+            if not v.any():
                 continue
-            v = block.astype(np.int64) % p
+            perm = residual.perm
             for col, row, rep in self.levels[d]:
                 c = int(v[col])
                 if c:
                     v = (v - c * row) % p
-                    residual = rep ** (-c) * residual
+                    for _ in range(c):
+                        nxt = np.empty_like(perm)
+                        nxt[rep.perm] = perm
+                        perm = nxt
+            if perm is not residual.perm:
+                residual = Portrait._from_perm(p, depth, perm)
             if v.any():
                 return d, residual
         if not residual.is_identity():
@@ -126,27 +135,44 @@ def close_chain(
     conjugators: tuple[Portrait, ...] = (),
     gens: tuple[Portrait, ...] | None = None,
 ) -> SubgroupChain:
-    """Chain of the subgroup generated by the seeds, closed under the conjugators."""
+    """Chain of the subgroup generated by the seeds, closed under the conjugators.
+
+    The worklist holds recipes, not elements: ("seed", g), ("pow", rep),
+    ("comm", rep, other) and ("conj", left, rep, right) for left * rep * right.
+    Each element is built when it is popped, so a long queue holds no arrays.
+    """
     seeds = list(seeds)
     chain = SubgroupChain(p, depth, gens=tuple(gens) if gens is not None else tuple(seeds))
-    queue = deque(seeds)
+    conj_pairs = [(~c, c) for c in conjugators]
+    queue = deque(("seed", g) for g in seeds)
     while queue:
-        g = queue.popleft()
-        d, residual = chain.sift(g)
+        d, residual = chain.sift(_build(queue.popleft(), p))
         if d is None:
             continue
         rep = chain._insert(residual, d)
         if d + 1 < depth:
-            queue.append(rep ** p)
+            queue.append(("pow", rep))
         for e, other in chain.pivot_levels():
             if other is rep:
                 continue
             if max(d, e) + (1 if d == e else 0) < depth:
-                queue.append(commutator(rep, other))
-        for c in conjugators:
-            queue.append(rep.conj(c))
-            queue.append(rep.conj(~c))
+                queue.append(("comm", rep, other))
+        for c_inv, c in conj_pairs:
+            queue.append(("conj", c_inv, rep, c))
+            queue.append(("conj", c, rep, c_inv))
     return chain
+
+
+def _build(item: tuple, p: int) -> Portrait:
+    """The element a worklist recipe of close_chain stands for."""
+    kind = item[0]
+    if kind == "pow":
+        return item[1] ** p
+    if kind == "comm":
+        return commutator(item[1], item[2])
+    if kind == "conj":
+        return item[1] * item[2] * item[3]
+    return item[1]
 
 
 def level_kernel_chain(chain: SubgroupChain, k: int) -> SubgroupChain:
@@ -169,9 +195,9 @@ def section_chain(chain: SubgroupChain, vertex: tuple[int, ...]) -> SubgroupChai
     pivots = chain.pivots()
     vertex = tuple(vertex)
     orbit: dict[tuple[int, ...], Portrait] = {vertex: Portrait.identity(p, depth)}
-    frontier = [vertex]
+    frontier = deque([vertex])
     while frontier:
-        v = frontier.pop(0)
+        v = frontier.popleft()
         t = orbit[v]
         for g in pivots:
             w = g.act(v)

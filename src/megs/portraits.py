@@ -1,6 +1,6 @@
 """Finite portraits of p-adic tree automorphisms with rooted-cycle labels.
 
-A depth-n portrait stores one residue mod p for every internal vertex of the
+A depth-n portrait has one residue mod p for every internal vertex of the
 rooted p-ary tree of depth n, in breadth-first order. The label k at a vertex
 means the automorphism permutes the subtrees below it by the k-th power of the
 standard cycle (1 2 ... p). Words over the alphabet {1, ..., p} name vertices;
@@ -33,10 +33,65 @@ def label_count(p: int, depth: int) -> int:
     return level_offsets(p, depth)[-1]
 
 
-class Portrait:
-    """Immutable depth-limited tree automorphism in labelled form."""
+@lru_cache(maxsize=None)
+def _identity_perm(p: int, depth: int) -> np.ndarray:
+    perm = np.arange(p**depth, dtype=np.int32)
+    perm.setflags(write=False)
+    return perm
 
-    __slots__ = ("p", "depth", "labels", "_images")
+
+@lru_cache(maxsize=None)
+def _label_gather(p: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf positions and divisors that read every label off a leaf permutation.
+
+    The label of vertex u at level d is where u's first child goes, read at
+    level d + 1: (perm[u * p**(depth-d)] // p**(depth-d-1)) % p.
+    """
+    offs = level_offsets(p, depth)
+    idx = np.empty(offs[-1], dtype=np.intp)
+    div = np.empty(offs[-1], dtype=np.int32)
+    for d in range(depth):
+        idx[offs[d] : offs[d + 1]] = np.arange(p**d) * p ** (depth - d)
+        div[offs[d] : offs[d + 1]] = p ** (depth - d - 1)
+    idx.setflags(write=False)
+    div.setflags(write=False)
+    return idx, div
+
+
+def _perm_from_labels(p: int, depth: int, labels: np.ndarray) -> np.ndarray:
+    """Leaf permutation of labelled form, built one level at a time.
+
+    Child x of vertex u goes to child (x + label of u) % p of u's image.
+    """
+    offs = level_offsets(p, depth)
+    shift = np.arange(p, dtype=np.int32)
+    perm = np.zeros(1, dtype=np.int32)
+    for d in range(depth):
+        lab = labels[offs[d] : offs[d + 1]]
+        perm = (perm[:, None] * p + (shift + lab[:, None]) % p).ravel()
+    return perm
+
+
+def _position(vertex: tuple[int, ...], p: int) -> int:
+    """Breadth-first index of a vertex within its level."""
+    q = 0
+    for x in vertex:
+        if not 1 <= x <= p:
+            raise TreeError(f"letter {x} outside 1..{p}")
+        q = q * p + (x - 1)
+    return q
+
+
+class Portrait:
+    """Immutable depth-limited tree automorphism.
+
+    Its working form is the leaf permutation `perm`: entry u is the position
+    of the image of leaf u, so a product is one gather and an inverse one
+    scatter. The labels are read off the permutation when asked for; a
+    portrait built from labels computes its permutation when first needed.
+    """
+
+    __slots__ = ("p", "depth", "_labels", "_perm")
 
     def __init__(self, p: int, depth: int, labels, _checked: bool = False):
         if not _checked:
@@ -58,12 +113,23 @@ class Portrait:
             arr.setflags(write=False)
         self.p = p
         self.depth = depth
-        self.labels = arr
-        self._images = None
+        self._labels = arr
+        self._perm = None
+
+    @classmethod
+    def _from_perm(cls, p: int, depth: int, perm: np.ndarray) -> "Portrait":
+        """Portrait with the given leaf permutation."""
+        self = object.__new__(cls)
+        perm.setflags(write=False)
+        self.p = p
+        self.depth = depth
+        self._labels = None
+        self._perm = perm
+        return self
 
     @classmethod
     def identity(cls, p: int, depth: int) -> "Portrait":
-        return cls(p, depth, np.zeros(label_count(p, depth), dtype=np.int16), _checked=True)
+        return cls._from_perm(p, depth, _identity_perm(p, depth))
 
     @classmethod
     def rooted(cls, p: int, depth: int, k: int) -> "Portrait":
@@ -75,26 +141,37 @@ class Portrait:
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def labels(self) -> np.ndarray:
+        """Rotation label of every internal vertex in breadth-first order (int16)."""
+        if self._labels is None:
+            idx, div = _label_gather(self.p, self.depth)
+            labels = ((self._perm[idx] // div) % self.p).astype(np.int16)
+            labels.setflags(write=False)
+            self._labels = labels
+        return self._labels
+
+    @property
+    def perm(self) -> np.ndarray:
+        """Leaf permutation (int32, read-only): entry u is the image of leaf u."""
+        if self._perm is None:
+            perm = _perm_from_labels(self.p, self.depth, self._labels)
+            perm.setflags(write=False)
+            self._perm = perm
+        return self._perm
+
     def level_labels(self, level: int) -> np.ndarray:
         offs = level_offsets(self.p, self.depth)
-        return self.labels[offs[level] : offs[level + 1]]
-
-    def _level_images(self) -> list[np.ndarray]:
-        """Image position arrays per level; entry l is the permutation on level l."""
-        if self._images is None:
-            p = self.p
-            offs = level_offsets(p, self.depth)
-            imgs = [np.zeros(1, dtype=np.int64)]
-            ar = np.arange(p, dtype=np.int64)
-            for l in range(self.depth):
-                lab = self.labels[offs[l] : offs[l + 1]].astype(np.int64)
-                nxt = (imgs[l][:, None] * p + (ar[None, :] + lab[:, None]) % p).ravel()
-                imgs.append(nxt)
-            self._images = imgs
-        return self._images
+        sl = slice(offs[level], offs[level + 1])
+        if self._labels is not None:
+            return self._labels[sl]
+        idx, div = _label_gather(self.p, self.depth)
+        return ((self._perm[idx[sl]] // div[sl]) % self.p).astype(np.int16)
 
     def is_identity(self) -> bool:
-        return not self.labels.any()
+        if self._perm is not None:
+            return np.array_equal(self._perm, _identity_perm(self.p, self.depth))
+        return not self._labels.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Portrait):
@@ -120,16 +197,13 @@ class Portrait:
                 f"vertex of length {len(vertex)} exceeds portrait depth {self.depth}"
             )
         p = self.p
-        offs = level_offsets(p, self.depth)
-        pos = 0
+        width = p ** (self.depth - len(vertex))
+        image = int(self.perm[_position(vertex, p) * width]) // width
         out = []
-        for level, x in enumerate(vertex):
-            if not 1 <= x <= p:
-                raise TreeError(f"letter {x} outside 1..{p}")
-            k = int(self.labels[offs[level] + pos])
-            out.append((x - 1 + k) % p + 1)
-            pos = pos * p + (x - 1)
-        return tuple(out)
+        for _ in vertex:
+            image, x = divmod(image, p)
+            out.append(x + 1)
+        return tuple(reversed(out))
 
     def fixes(self, vertex: tuple[int, ...]) -> bool:
         return self.act(vertex) == tuple(vertex)
@@ -140,7 +214,8 @@ class Portrait:
             level = self.depth
         if not 0 <= level <= self.depth:
             raise TreeError(f"level {level} outside 0..{self.depth}")
-        return self._level_images()[level].copy()
+        width = self.p ** (self.depth - level)
+        return (self.perm[::width] // width).astype(np.int64)
 
     # -- group operations ----------------------------------------------------
 
@@ -150,24 +225,12 @@ class Portrait:
             return NotImplemented
         if self.p != other.p or self.depth != other.depth:
             raise TreeError("portraits must share alphabet and depth to compose")
-        p = self.p
-        offs = level_offsets(p, self.depth)
-        out = np.empty_like(self.labels)
-        imgs = self._level_images()
-        for l in range(self.depth):
-            sl = slice(offs[l], offs[l + 1])
-            out[sl] = (self.labels[sl] + other.labels[sl][imgs[l]]) % p
-        return Portrait(p, self.depth, out, _checked=True)
+        return Portrait._from_perm(self.p, self.depth, other.perm[self.perm])
 
     def __invert__(self) -> "Portrait":
-        p = self.p
-        offs = level_offsets(p, self.depth)
-        out = np.empty_like(self.labels)
-        imgs = self._level_images()
-        for l in range(self.depth):
-            sl = slice(offs[l], offs[l + 1])
-            out[sl][imgs[l]] = (-self.labels[sl]) % p
-        return Portrait(p, self.depth, out, _checked=True)
+        inv = np.empty_like(self.perm)
+        inv[self.perm] = _identity_perm(self.p, self.depth)
+        return Portrait._from_perm(self.p, self.depth, inv)
 
     def __pow__(self, e: int) -> "Portrait":
         if e < 0:
@@ -200,21 +263,10 @@ class Portrait:
         """Restriction to the subtree under a vertex the portrait fixes."""
         if not self.fixes(vertex):
             raise TreeError(f"section undefined: vertex {vertex} is moved")
-        k = len(vertex)
-        p = self.p
-        offs = level_offsets(p, self.depth)
-        q = 0
-        for x in vertex:
-            q = q * p + (x - 1)
-        sub_depth = self.depth - k
-        out = np.empty(label_count(p, sub_depth), dtype=np.int16)
-        sub_offs = level_offsets(p, sub_depth)
-        width = 1
-        for l in range(sub_depth):
-            src = offs[k + l] + q * width
-            out[sub_offs[l] : sub_offs[l + 1]] = self.labels[src : src + width]
-            width *= p
-        return Portrait(p, sub_depth, out, _checked=True)
+        sub_depth = self.depth - len(vertex)
+        width = self.p**sub_depth
+        start = _position(vertex, self.p) * width
+        return Portrait._from_perm(self.p, sub_depth, self.perm[start : start + width] - start)
 
     def truncate(self, depth: int) -> "Portrait":
         if not 0 <= depth <= self.depth:
@@ -224,23 +276,13 @@ class Portrait:
     @classmethod
     def embed(cls, p: int, depth: int, vertex: tuple[int, ...], sub: "Portrait") -> "Portrait":
         """Portrait acting as `sub` below `vertex` and trivially elsewhere."""
-        k = len(vertex)
-        if sub.p != p or sub.depth != depth - k:
+        if sub.p != p or sub.depth != depth - len(vertex):
             raise TreeError("embedded portrait must have depth equal to the remaining depth")
-        q = 0
-        for x in vertex:
-            if not 1 <= x <= p:
-                raise TreeError(f"letter {x} outside 1..{p}")
-            q = q * p + (x - 1)
-        labels = np.zeros(label_count(p, depth), dtype=np.int16)
-        offs = level_offsets(p, depth)
-        sub_offs = level_offsets(p, sub.depth)
-        width = 1
-        for l in range(sub.depth):
-            dst = offs[k + l] + q * width
-            labels[dst : dst + width] = sub.labels[sub_offs[l] : sub_offs[l + 1]]
-            width *= p
-        return cls(p, depth, labels, _checked=True)
+        width = p**sub.depth
+        start = _position(vertex, p) * width
+        perm = _identity_perm(p, depth).copy()
+        perm[start : start + width] = sub.perm + start
+        return cls._from_perm(p, depth, perm)
 
     # -- serialization --------------------------------------------------------
 
@@ -271,4 +313,5 @@ class Portrait:
 
 
 def commutator(x: Portrait, y: Portrait) -> Portrait:
-    return ~x * ~y * x * y
+    """x^-1 y^-1 x y, computed as (y x)^-1 (x y)."""
+    return ~(y * x) * (x * y)

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .datum import NumericalDatum, generator_portrait
-from .portraits import Portrait, label_count, level_offsets
+from .portraits import Portrait
 import numpy as np
 
 
@@ -413,15 +413,10 @@ def evaluate_branch(element: BranchElement, datum: NumericalDatum, depth: int) -
         return evaluate(element.word, datum, depth)
     if depth == 0:
         return Portrait.identity(p, 0)
-    labels = np.zeros(label_count(p, depth), dtype=np.int16)
-    labels[0] = element.alpha % p
-    offs = level_offsets(p, depth)
-    for x, child in enumerate(element.children):
-        sub = evaluate_branch(child, datum, depth - 1)
-        sub_offs = level_offsets(p, depth - 1)
-        width = 1
-        for l in range(depth - 1):
-            dst = offs[l + 1] + x * width
-            labels[dst : dst + width] = sub.labels[sub_offs[l] : sub_offs[l + 1]]
-            width *= p
-    return Portrait(p, depth, labels, _checked=True)
+    # Leaf (x, rest) goes to ((x + alpha) % p, image of rest under child x).
+    width = p ** (depth - 1)
+    perm = np.concatenate([
+        ((x + element.alpha) % p) * width + evaluate_branch(child, datum, depth - 1).perm
+        for x, child in enumerate(element.children)
+    ])
+    return Portrait._from_perm(p, depth, perm)

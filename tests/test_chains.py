@@ -126,6 +126,24 @@ def test_frozen_constant_pair_orders():
     assert q4.kernel_derived(1).order_exponent() == 20
 
 
+@pytest.mark.parametrize(
+    "text, level, descriptor, digest",
+    [
+        ("p = 3; E1 = (2, 2)", 4, "full", "7b0ad9fea75ea185"),
+        ("p = 3; E1 = (2, 2)", 4, "derived", "316be755978a437e"),
+        ("p = 3; E1 = (2, 2)", 4, "gamma3", "d60b5ca410922010"),
+        ("p = 5; E1 = (1, 2, 0, 0)", 3, "full", "08e168c06be0def0"),
+        ("p = 5; E1 = (1, 2, 0, 0)", 3, "derived", "b74db45004b96b15"),
+    ],
+)
+def test_pivot_order_is_pinned(text, level, descriptor, digest):
+    # The digest covers every pivot's labels in insertion order, which
+    # witness portraits and cache files depend on; a closure that changes
+    # how it finds pivots must leave them where they were.
+    chain = quotient(NumericalDatum.from_text(text), level).chain(descriptor)
+    assert chain_digest(chain)[:16] == digest
+
+
 def test_embed_and_block_product():
     store = ChainStore()
     sub = quotient(GS, 2, store=store).derived()
