@@ -4,9 +4,12 @@ An element of the depth-n quotient is a portrait. For a subgroup H and each
 level d, the label rows at level d of the elements of H that fix the tree to
 depth d form a linear code over F_p, because the level-d labels are additive
 on that stabilizer. A chain holds one echelon basis per level together with a
-representative element per basis row. Sifting an element reduces its label
-rows level by level with representative multiplications; membership and exact
-orders (p to the sum of the level dimensions) follow.
+representative element per basis row. Sifting reduces a stack of elements
+level by level: the reduction coefficients at a level come from one linear
+solve, above the deepest level each element is then multiplied by the
+representatives' inverse powers, and at the deepest level, which is
+elementary abelian, only the labels are reduced. Membership and exact orders
+(p to the sum of the level dimensions) follow.
 
 Chains are built by a worklist closure: inserting a pivot enqueues its p-th
 power, its commutators with the existing pivots, and, for normal closures,
@@ -20,12 +23,13 @@ import hashlib
 import json
 import os
 from collections import deque
+from functools import lru_cache
 from itertools import product as iter_product
 
 import numpy as np
 
 from .datum import NumericalDatum, generator_portraits
-from .portraits import Portrait, commutator, level_offsets
+from .portraits import Portrait, commutator, identity_perm, level_offsets, perm_labels
 
 
 class ChainError(RuntimeError):
@@ -36,16 +40,79 @@ class DegreeGuardError(ChainError):
     """The requested quotient degree exceeds the configured guard."""
 
 
-class SubgroupChain:
-    """Level-filtration stabilizer chain of a subgroup of a depth-n quotient."""
+class _LevelSolve:
+    """Sift state of one level: the pivot columns, T and E = T @ rows (mod p).
 
-    __slots__ = ("p", "depth", "levels", "gens")
+    Reducing v by the pivots in order subtracts c_j * row_j with
+    c_j = v[col_j] - sum_{i<j} c_i * row_i[col_j], so c = v[cols] @ T, where
+    T is the inverse mod p of the unit upper-triangular matrix
+    U[i, j] = row_i[col_j] (i < j), and the reduced labels are
+    v - v[cols] @ E. Both are int16, in arrays that double.
+    """
+
+    __slots__ = ("level", "k", "cols", "tinv", "ech", "views")
+
+    def __init__(self, level: list, width: int):
+        cap = min(8, width)  # a level holds at most `width` independent rows
+        self.level = level
+        self.k = 0
+        self.cols = np.empty(cap, np.intp)
+        self.tinv = np.zeros((cap, cap), np.int16)
+        self.ech = np.empty((cap, width), np.int16)
+        self.views = (self.cols[:0], self.tinv[:0, :0], self.ech[:0])
+
+    def extend(self, p: int) -> None:
+        """Take in the m pivots appended to the level since the last call.
+
+        With U = [[U_old, U_on], [0, U_new]], T gains the block column
+        [X; T_new] with T_new = U_new^-1 and X = -E_old[:, new cols] @ T_new,
+        and E becomes [E_old + X @ rows_new; T_new @ rows_new].
+        """
+        lv, k = self.level, self.k
+        new = lv[k:]
+        m = len(new)
+        cols, tinv, ech = self.cols, self.tinv, self.ech
+        if k + m > len(cols):
+            cap = max(k + m, min(2 * len(cols), ech.shape[1]))
+            cols = np.resize(cols, cap)
+            tinv = np.zeros((cap, cap), np.int16)
+            tinv[:k, :k] = self.tinv[:k, :k]
+            ech = np.concatenate([ech[:k], np.empty((cap - k, ech.shape[1]), np.int16)])
+        new_cols = [col for col, _, _ in new]
+        new_rows = np.array([row for _, row, _ in new], dtype=np.int64)
+        t_new = np.eye(m, dtype=np.int64)
+        u_new = new_rows[:, new_cols]
+        for b in range(1, m):
+            t_new[:b, b] = -_residue_matmul(t_new[:b, :b], u_new[:b, b : b + 1], p)[:, 0] % p
+        if k:
+            x = -_residue_matmul(ech[:k, new_cols], t_new, p) % p
+            ech[:k] = (ech[:k] + _residue_matmul(x, new_rows, p)) % p
+            tinv[:k, k : k + m] = x
+        ech[k : k + m] = _residue_matmul(t_new, new_rows, p) % p
+        tinv[k : k + m, k : k + m] = t_new
+        cols[k : k + m] = new_cols
+        k += m
+        self.k, self.cols, self.tinv, self.ech = k, cols, tinv, ech
+        self.views = (cols[:k], tinv[:k, :k], ech[:k])
+
+
+class SubgroupChain:
+    """Level-filtration stabilizer chain of a subgroup of a depth-n quotient.
+
+    `levels[d]` lists (pivot column, row, representative) in insertion order
+    and only ever grows at the end; the sift state of each level follows it.
+    A representative fixes the tree to depth d and its level-d labels are
+    its row, so one at the deepest level is the portrait of its row alone.
+    """
+
+    __slots__ = ("p", "depth", "levels", "gens", "_solve")
 
     def __init__(self, p: int, depth: int, gens: tuple[Portrait, ...] = ()):
         self.p = p
         self.depth = depth
         self.levels: list[list[tuple[int, np.ndarray, Portrait]]] = [[] for _ in range(depth)]
         self.gens = tuple(gens)
+        self._solve: list[_LevelSolve | None] = [None] * depth
 
     # -- measures -----------------------------------------------------------
 
@@ -66,44 +133,96 @@ class SubgroupChain:
 
     # -- membership -----------------------------------------------------------
 
-    def sift(self, g: Portrait) -> tuple[int | None, Portrait]:
-        """Reduce g level by level. Returns (failing level or None, residual).
+    def _level_state(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pivot columns, T and E of level d (see `_LevelSolve`), up to date."""
+        lv, st = self.levels[d], self._solve[d]
+        if st is None or st.level is not lv or st.k > len(lv):
+            st = self._solve[d] = _LevelSolve(lv, self.p**d)
+        if st.k < len(lv):
+            st.extend(self.p)
+        return st.views
 
-        A reduction step by c times a pivot is c scatters of the residual's
-        leaf permutation through the pivot's permutation.
+    def sift_batch(self, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sift a stack of leaf permutations (B x p^n) level by level.
+
+        Returns each row's failing level (-1 for a member) and its residual
+        permutation (the identity for a member). Above the deepest level a
+        row is composed with rep_j^-c_j in pivot order, one gather per
+        (pivot, c) through the pivot's inverse. The deepest level of St(n-1)
+        is elementary abelian and a representative there is the portrait of
+        its row, so it is reduced on labels alone.
         """
         p, depth = self.p, self.depth
-        residual = g
+        offs = level_offsets(p, depth)
+        work = np.array(perms, dtype=np.int32, ndmin=2)
+        labels = perm_labels(p, depth, work)
+        out = np.empty_like(work)
+        fail = np.full(len(work), -1, dtype=np.intp)
+        rows = np.arange(len(work))  # the input row of each row of `work`
+        ident = identity_perm(p, depth)
         for d in range(depth):
-            v = residual.level_labels(d).astype(np.int64)
+            if not len(work):
+                break
+            last = d == depth - 1
+            if last and labels[:, : offs[d]].any():
+                raise ChainError("residual reduced above the deepest level has labels above it")
+            v = labels[:, offs[d] : offs[d + 1]]
             if not v.any():
                 continue
-            perm = residual.perm
-            for col, row, rep in self.levels[d]:
-                c = int(v[col])
-                if c:
-                    v = (v - c * row) % p
-                    for _ in range(c):
-                        nxt = np.empty_like(perm)
-                        nxt[rep.perm] = perm
-                        perm = nxt
-            if perm is not residual.perm:
-                residual = Portrait._from_perm(p, depth, perm)
-            if v.any():
-                return d, residual
-        if not residual.is_identity():
-            raise ChainError("residual reduced at all levels but is not the identity")
-        return None, residual
+            cols, tinv, ech = self._level_state(d)
+            if cols.size:
+                head = v[:, cols]
+                v = (v - _residue_matmul(head, ech, p)) % p
+                if not last:
+                    c = _residue_matmul(head, tinv, p) % p
+                    moved = np.flatnonzero(c.any(axis=0))
+                    for j in moved:
+                        rep = self.levels[d][j][2].perm
+                        inv = np.empty_like(rep)
+                        inv[rep] = ident
+                        power = inv
+                        for e in range(1, int(c[:, j].max()) + 1):
+                            if e > 1:
+                                power = power[inv]
+                            sel = np.flatnonzero(c[:, j] == e)
+                            if sel.size:
+                                work[sel] = work[sel][:, power]
+                    if moved.size:
+                        labels = perm_labels(p, depth, work)
+            failed = v.any(axis=1)
+            if not failed.any():
+                continue
+            gone = rows[failed]
+            fail[gone] = d
+            kept = ~failed
+            if last:
+                # The residual in St(n-1) whose only labels are the reduced ones.
+                firsts, shifts = _deepest_rotations(p, depth)
+                out[gone] = (firsts + shifts[v[failed]]).reshape(len(gone), -1)
+                rows = rows[kept]
+            else:
+                out[gone] = work[failed]
+                work, rows, labels = work[kept], rows[kept], labels[kept]
+        out[rows] = ident
+        return fail, out
+
+    def sift(self, g: Portrait) -> tuple[int | None, Portrait]:
+        """Reduce g level by level. Returns (failing level or None, residual)."""
+        fail, perms = self.sift_batch(g.perm)
+        d = int(fail[0])
+        return (None if d < 0 else d), Portrait._from_perm(self.p, self.depth, perms[0])
 
     def contains(self, g: Portrait) -> bool:
         return self.sift(g)[0] is None
 
     def contains_chain(self, other: "SubgroupChain") -> tuple[bool, Portrait | None]:
         """Whether every pivot of `other` sifts into this chain."""
-        for piv in other.pivots():
-            if not self.contains(piv):
-                return False, piv
-        return True, None
+        pivots = other.pivots()
+        if not pivots:
+            return True, None
+        fail, _ = self.sift_batch(np.stack([piv.perm for piv in pivots]))
+        bad = np.flatnonzero(fail >= 0)
+        return (True, None) if not bad.size else (False, pivots[bad[0]])
 
     def _insert(self, residual: Portrait, d: int) -> Portrait:
         p = self.p
@@ -128,6 +247,33 @@ class SubgroupChain:
         return elems
 
 
+def _residue_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b, exactly, for matrices of residues mod p (not reduced mod p).
+
+    The sums are taken in int16 when no sum can exceed its range, which
+    einsum vectorizes, and in int64 otherwise.
+    """
+    wide = np.int16 if a.shape[1] * (p - 1) ** 2 < 2**15 else np.int64
+    return np.einsum("ij,jk->ik", a.astype(wide, copy=False), b.astype(wide, copy=False))
+
+
+@lru_cache(maxsize=None)
+def _deepest_rotations(p: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pieces of the leaf permutations of portraits with only deepest labels.
+
+    `firsts` holds the first leaf below each deepest vertex, as a column, and
+    row l of `shifts` the images of a vertex's p leaves under a rotation by
+    l; the portrait with deepest labels `labels` is (firsts + shifts[labels])
+    flattened.
+    """
+    firsts = (np.arange(p ** (depth - 1), dtype=np.int32) * p)[:, None]
+    shifts = (np.arange(p, dtype=np.int32)[None, :] + np.arange(p, dtype=np.int32)[:, None]) % p
+    return firsts, shifts
+
+
+BATCH = 16
+
+
 def close_chain(
     p: int,
     depth: int,
@@ -139,27 +285,44 @@ def close_chain(
 
     The worklist holds recipes, not elements: ("seed", g), ("pow", rep),
     ("comm", rep, other) and ("conj", left, rep, right) for left * rep * right.
-    Each element is built when it is popped, so a long queue holds no arrays.
+    Up to BATCH recipes are built and sifted together, and the first failure
+    in pop order is inserted. A pivot appended to level d leaves the
+    reduction of every element as it was except at level d, where the
+    others' reduced rows are zero in its column. So members are dropped,
+    only the failures at level d are sifted again, from their residuals, and
+    pivots arrive in the order a one-at-a-time closure finds them.
     """
     seeds = list(seeds)
     chain = SubgroupChain(p, depth, gens=tuple(gens) if gens is not None else tuple(seeds))
     conj_pairs = [(~c, c) for c in conjugators]
     queue = deque(("seed", g) for g in seeds)
     while queue:
-        d, residual = chain.sift(_build(queue.popleft(), p))
-        if d is None:
-            continue
-        rep = chain._insert(residual, d)
-        if d + 1 < depth:
-            queue.append(("pow", rep))
-        for e, other in chain.pivot_levels():
-            if other is rep:
-                continue
-            if max(d, e) + (1 if d == e else 0) < depth:
-                queue.append(("comm", rep, other))
-        for c_inv, c in conj_pairs:
-            queue.append(("conj", c_inv, rep, c))
-            queue.append(("conj", c, rep, c_inv))
+        batch = [_build(queue.popleft(), p) for _ in range(min(BATCH, len(queue)))]
+        fail, perms = chain.sift_batch(np.stack([g.perm for g in batch]))
+        fail = fail.tolist()
+        pending = [i for i, level in enumerate(fail) if level >= 0]
+        while pending:
+            first = pending.pop(0)
+            d = fail[first]
+            rep = chain._insert(Portrait._from_perm(p, depth, perms[first].copy()), d)
+            again = [i for i in pending if fail[i] == d]
+            if again:
+                redo, perms[again] = chain.sift_batch(perms[again])
+                for i, level in zip(again, redo.tolist()):
+                    fail[i] = level
+                pending = [i for i in pending if fail[i] >= 0]
+            if d + 1 < depth:
+                queue.append(("pow", rep))
+            for e, other in chain.pivot_levels():
+                if other is rep:
+                    continue
+                if max(d, e) + (1 if d == e else 0) < depth:
+                    queue.append(("comm", rep, other))
+            for c_inv, c in conj_pairs:
+                queue.append(("conj", c_inv, rep, c))
+                queue.append(("conj", c, rep, c_inv))
+    # A finished chain keeps no sift state; a later sift rebuilds it at size.
+    chain._solve = [None] * depth
     return chain
 
 
@@ -283,15 +446,37 @@ class ChainStore:
 
 
 def _write_atomic(path: str, payload: dict) -> None:
-    """Write JSON to a temporary file beside `path`, then move it into place."""
+    """Write JSON to a temporary file beside `path`, then move it into place.
+
+    The bytes are those of json.dumps(payload). Each generator and each
+    pivot entry is encoded on its own by the C encoder, which holds one
+    string per number of what it encodes until it joins them.
+    """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(payload, fh)
+            fh.write("{")
+            for i, (key, value) in enumerate(payload.items()):
+                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+                _write_json(fh, value, {"gens": 1, "levels": 2}.get(key, 0))
+            fh.write("}")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _write_json(fh, value, split: int) -> None:
+    """json.dumps(value), with the outer `split` list levels written item by item."""
+    if not split:
+        fh.write(json.dumps(value))
+        return
+    fh.write("[")
+    for i, item in enumerate(value):
+        if i:
+            fh.write(", ")
+        _write_json(fh, item, split - 1)
+    fh.write("]")
 
 
 def chain_digest(chain: SubgroupChain) -> str:

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .chains import ChainStore, DEFAULT_DEGREE_GUARD, DegreeGuardError, quotient
+from .chains import ChainError, ChainStore, DEFAULT_DEGREE_GUARD, DegreeGuardError, quotient
 from .checks import (
     CHECKS,
     DEFAULT_SAMPLES,
@@ -332,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DegreeGuardError, GuardExceeded) as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (DatumError, WordError, CheckError, FileNotFoundError, OSError) as exc:
+    except (DatumError, WordError, CheckError, ChainError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -34,7 +34,8 @@ def label_count(p: int, depth: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _identity_perm(p: int, depth: int) -> np.ndarray:
+def identity_perm(p: int, depth: int) -> np.ndarray:
+    """The identity leaf permutation (int32, read-only, shared)."""
     perm = np.arange(p**depth, dtype=np.int32)
     perm.setflags(write=False)
     return perm
@@ -56,6 +57,12 @@ def _label_gather(p: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     idx.setflags(write=False)
     div.setflags(write=False)
     return idx, div
+
+
+def perm_labels(p: int, depth: int, perms: np.ndarray) -> np.ndarray:
+    """All labels read off a leaf permutation, or off each row of a stack of them."""
+    idx, div = _label_gather(p, depth)
+    return (perms[..., idx] // div) % p
 
 
 def _perm_from_labels(p: int, depth: int, labels: np.ndarray) -> np.ndarray:
@@ -129,7 +136,7 @@ class Portrait:
 
     @classmethod
     def identity(cls, p: int, depth: int) -> "Portrait":
-        return cls._from_perm(p, depth, _identity_perm(p, depth))
+        return cls._from_perm(p, depth, identity_perm(p, depth))
 
     @classmethod
     def rooted(cls, p: int, depth: int, k: int) -> "Portrait":
@@ -145,8 +152,7 @@ class Portrait:
     def labels(self) -> np.ndarray:
         """Rotation label of every internal vertex in breadth-first order (int16)."""
         if self._labels is None:
-            idx, div = _label_gather(self.p, self.depth)
-            labels = ((self._perm[idx] // div) % self.p).astype(np.int16)
+            labels = perm_labels(self.p, self.depth, self._perm).astype(np.int16)
             labels.setflags(write=False)
             self._labels = labels
         return self._labels
@@ -170,7 +176,7 @@ class Portrait:
 
     def is_identity(self) -> bool:
         if self._perm is not None:
-            return np.array_equal(self._perm, _identity_perm(self.p, self.depth))
+            return np.array_equal(self._perm, identity_perm(self.p, self.depth))
         return not self._labels.any()
 
     def __eq__(self, other) -> bool:
@@ -229,7 +235,7 @@ class Portrait:
 
     def __invert__(self) -> "Portrait":
         inv = np.empty_like(self.perm)
-        inv[self.perm] = _identity_perm(self.p, self.depth)
+        inv[self.perm] = identity_perm(self.p, self.depth)
         return Portrait._from_perm(self.p, self.depth, inv)
 
     def __pow__(self, e: int) -> "Portrait":
@@ -280,7 +286,7 @@ class Portrait:
             raise TreeError("embedded portrait must have depth equal to the remaining depth")
         width = p**sub.depth
         start = _position(vertex, p) * width
-        perm = _identity_perm(p, depth).copy()
+        perm = identity_perm(p, depth).copy()
         perm[start : start + width] = sub.perm + start
         return cls._from_perm(p, depth, perm)
 

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from megs.chains import (
+    ChainError,
     ChainStore,
     DegreeGuardError,
     SubgroupChain,
+    _chain_to_dict,
+    _residue_matmul,
+    _write_atomic,
     block_product_chain,
     chain_digest,
     embed_pivots,
@@ -134,6 +138,11 @@ def test_frozen_constant_pair_orders():
         ("p = 3; E1 = (2, 2)", 4, "gamma3", "d60b5ca410922010"),
         ("p = 5; E1 = (1, 2, 0, 0)", 3, "full", "08e168c06be0def0"),
         ("p = 5; E1 = (1, 2, 0, 0)", 3, "derived", "b74db45004b96b15"),
+        ("p = 3; E1 = (2, 2)", 5, "full", "a75f199161121531"),
+        ("p = 3; E1 = (2, 2)", 5, "derived", "b82a44b68e32a633"),
+        ("p = 3; E1 = (2, 2)", 5, "gamma3", "22c187a47396ac28"),
+        ("p = 3; E1 = (1, 2)", 5, "full", "165b90186928016f"),
+        ("p = 3; E1 = (1, 0), (0, 1)", 5, "full", "7a972106ea9297f6"),
     ],
 )
 def test_pivot_order_is_pinned(text, level, descriptor, digest):
@@ -142,6 +151,145 @@ def test_pivot_order_is_pinned(text, level, descriptor, digest):
     # how it finds pivots must leave them where they were.
     chain = quotient(NumericalDatum.from_text(text), level).chain(descriptor)
     assert chain_digest(chain)[:16] == digest
+
+
+def reference_sift(chain, g):
+    """The one-element sift the batched one replaced: pivot by pivot, in order."""
+    p = chain.p
+    residual = g
+    for d in range(chain.depth):
+        v = residual.level_labels(d).astype(np.int64)
+        for col, row, rep in chain.levels[d]:
+            c = int(v[col])
+            if c:
+                v = (v - c * row) % p
+                residual = rep ** (-c) * residual
+        if v.any():
+            return d, residual
+    if not residual.is_identity():
+        raise ChainError("residual reduced at all levels but is not the identity")
+    return None, residual
+
+
+def _random_elements(p, depth, gens, rng, count=24):
+    """Random products of the generators and their inverses, then random portraits."""
+    out = []
+    for _ in range(count):
+        g = Portrait.identity(p, depth)
+        for _ in range(rng.randrange(1, 12)):
+            h = rng.choice(gens)
+            g = g * (h if rng.random() < 0.5 else ~h)
+        out.append(g)
+    n_labels = len(Portrait.identity(p, depth).labels)
+    for _ in range(count):
+        out.append(Portrait(p, depth, [rng.randrange(p) for _ in range(n_labels)]))
+    return out
+
+
+def _assert_sifts_like_reference(chain, elements):
+    fail, residuals = chain.sift_batch(np.stack([g.perm for g in elements]))
+    for g, d, res in zip(elements, fail, residuals):
+        want_d, want_res = reference_sift(chain, g)
+        assert (None if d < 0 else d) == want_d
+        assert Portrait._from_perm(chain.p, chain.depth, res.copy()) == want_res
+
+
+@pytest.mark.parametrize(
+    "text", ["p = 3; E1 = (1, 2)", "p = 3; E1 = (2, 2)", "p = 5; E1 = (1, 2, 0, 0)"]
+)
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_batched_sift_matches_the_sequential_reference(text, depth):
+    datum = NumericalDatum.from_text(text)
+    q = quotient(datum, depth)
+    gens = list(q.gens.values())
+    rng = random.Random(f"{text}|{depth}")
+    elements = _random_elements(datum.p, depth, gens, rng)
+    for chain in (q.full(), q.derived(), q.kernel(1), q.kernel_derived(1)):
+        members = elements + chain.pivots()[:8]
+        _assert_sifts_like_reference(chain, members)
+        for g in members[::7]:
+            want_d, want_res = reference_sift(chain, g)
+            d, res = chain.sift(g)
+            assert (d, res) == (want_d, want_res)
+            assert chain.contains(g) == (want_d is None)
+
+
+def test_batched_sift_follows_levels_appended_after_a_sift():
+    datum = NumericalDatum.from_text("p = 3; E1 = (2, 2)")
+    q = quotient(datum, 4)
+    full = q.full()
+    rng = random.Random(11)
+    elements = _random_elements(3, 4, list(q.gens.values()), rng)
+    partial = SubgroupChain(3, 4)
+    for d, lv in enumerate(full.levels):
+        partial.levels[d].extend(lv[: len(lv) // 2])
+    _assert_sifts_like_reference(partial, elements)
+    for d, lv in enumerate(full.levels):
+        for entry in lv[len(lv) // 2 :]:
+            partial.levels[d].append(entry)
+    _assert_sifts_like_reference(partial, elements)
+    assert all(partial.contains(g) for g in full.pivots())
+
+
+def test_batched_closure_finds_the_sequential_pivots():
+    def reference_close(p, depth, seeds, conjugators=()):
+        chain = SubgroupChain(p, depth, gens=tuple(seeds))
+        queue = deque(seeds)
+        while queue:
+            d, residual = reference_sift(chain, queue.popleft())
+            if d is None:
+                continue
+            rep = chain._insert(residual, d)
+            if d + 1 < depth:
+                queue.append(rep ** p)
+            for e, other in chain.pivot_levels():
+                if other is not rep and max(d, e) + (d == e) < depth:
+                    queue.append(commutator(rep, other))
+            for c in conjugators:
+                queue.append(~c * rep * c)
+                queue.append(c * rep * ~c)
+        return chain
+
+    for text, depth in (("p = 3; E1 = (1, 0), (0, 1)", 4), ("p = 5; E1 = (1, 2, 0, 0)", 3)):
+        q = quotient(NumericalDatum.from_text(text), depth)
+        gens = q.gen_list
+        comms = [commutator(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+        assert chain_digest(reference_close(q.datum.p, depth, list(gens))) == chain_digest(q.full())
+        want = reference_close(q.datum.p, depth, comms, conjugators=gens)
+        assert chain_digest(want) == chain_digest(q.derived())
+
+
+@pytest.mark.parametrize("p, k", [(3, 40), (5, 2047), (7, 910), (7, 1000)])
+def test_residue_matmul_is_exact_on_both_sides_of_the_int16_bound(p, k):
+    rng = np.random.default_rng(k)
+    a = rng.integers(0, p, (3, k), dtype=np.int16)
+    b = rng.integers(0, p, (k, 5), dtype=np.int16)
+    a[0] = b[:, 0] = p - 1  # one entry of the product takes the largest sum
+    want = a.astype(np.int64) @ b.astype(np.int64)
+    assert np.array_equal(_residue_matmul(a, b, p), want)
+
+
+def test_sift_raises_when_a_residual_moves_a_level_above_the_deepest():
+    a = Portrait.rooted(3, 2, 1)
+    # The stored row says the pivot's root label is 1, but it is 2: reducing
+    # a by it leaves a root label, which the deepest level must not accept.
+    chain = SubgroupChain(3, 2)
+    chain.levels[0].append((0, np.array([1]), Portrait.rooted(3, 2, 2)))
+    with pytest.raises(ChainError):
+        reference_sift(chain, a)
+    with pytest.raises(ChainError):
+        chain.sift(a)
+    with pytest.raises(ChainError):
+        chain.sift_batch(np.stack([Portrait.identity(3, 2).perm, a.perm]))
+
+
+def test_cache_writes_are_the_bytes_of_json_dumps(tmp_path):
+    chain = quotient(NumericalDatum.from_text("p = 5; E1 = (1, 2, 0, 0)"), 3).full()
+    payload = _chain_to_dict(chain)
+    path = tmp_path / "chain.json"
+    _write_atomic(str(path), payload)
+    assert path.read_text() == json.dumps(payload)
+    assert [p.name for p in tmp_path.iterdir()] == ["chain.json"]
 
 
 def test_embed_and_block_product():

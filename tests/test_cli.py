@@ -1,5 +1,6 @@
 import json
 
+from megs.chains import ChainError, SubgroupChain
 from megs.cli import main
 
 GS = "p = 3; E1 = (1, 2)"
@@ -154,3 +155,15 @@ def test_cache_dir_does_not_change_output(tmp_path, capsys):
     cached_warm = capsys.readouterr().out
     assert plain == cached_cold == cached_warm
     assert list(tmp_path.glob("chain-*.json"))
+
+
+def test_chain_error_exits_three_without_a_traceback(monkeypatch, capsys):
+    def broken(self, perms):
+        raise ChainError("residual reduced at all levels but is not the identity")
+
+    monkeypatch.setattr(SubgroupChain, "sift_batch", broken)
+    code = main(["quotient", "--datum", GS, "--level", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: residual reduced at all levels but is not the identity\n"
+    assert "Traceback" not in captured.err
