@@ -11,10 +11,13 @@ representatives' inverse powers, and at the deepest level, which is
 elementary abelian, only the labels are reduced. Membership and exact orders
 (p to the sum of the level dimensions) follow.
 
-Chains are built by a worklist closure: inserting a pivot enqueues its p-th
-power, its commutators with the existing pivots, and, for normal closures,
-its conjugates by the designated conjugating elements. The worklist order is
-fixed, so construction is deterministic.
+Chains are built in two steps. A worklist closure lifts the levels above the
+deepest: inserting a pivot there enqueues its p-th power, its commutators
+with the other pivots above the deepest level, and, for normal closures, its
+conjugates by the designated conjugating elements. The deepest level is then
+spun: its rows form an F_p-subspace that conjugation permutes, so it is
+closed under a few label permutations instead of by sifting commutators.
+Both steps run in a fixed order, so construction is deterministic.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .datum import NumericalDatum, generator_portraits
+from .fp import row_echelon
 from .portraits import Portrait, commutator, identity_perm, level_offsets, perm_labels
 
 
@@ -127,9 +131,6 @@ class SubgroupChain:
 
     def pivots(self) -> list[Portrait]:
         return [rep for lv in self.levels for (_, _, rep) in lv]
-
-    def pivot_levels(self) -> list[tuple[int, Portrait]]:
-        return [(d, rep) for d, lv in enumerate(self.levels) for (_, _, rep) in lv]
 
     # -- membership -----------------------------------------------------------
 
@@ -283,17 +284,30 @@ def close_chain(
 ) -> SubgroupChain:
     """Chain of the subgroup generated by the seeds, closed under the conjugators.
 
-    The worklist holds recipes, not elements: ("seed", g), ("pow", rep),
+    Lift: a worklist of recipes, not elements: ("seed", g), ("pow", rep),
     ("comm", rep, other) and ("conj", left, rep, right) for left * rep * right.
     Up to BATCH recipes are built and sifted together, and the first failure
     in pop order is inserted. A pivot appended to level d leaves the
     reduction of every element as it was except at level d, where the
     others' reduced rows are zero in its column. So members are dropped,
     only the failures at level d are sifted again, from their residuals, and
-    pivots arrive in the order a one-at-a-time closure finds them.
+    pivots arrive in the order a one-at-a-time closure finds them. A pivot
+    of the deepest level enqueues nothing and is no other pivot's partner.
+
+    Spin: `_spin` then closes the deepest level under conjugation by the
+    seeds or the pivots above that level, whichever are fewer, and by the
+    conjugators. The group is generated by either set together with the
+    deepest level (with the conjugators' conjugates of the seeds, for a
+    normal closure), and the deepest level, in the abelian St(n-1), acts
+    trivially on itself. This stands in for every recipe left out: a p-th
+    power or a commutator of two deepest pivots is trivial, comm(x, h) =
+    (h^-1)^x * h for h in the deepest level, and a conjugate of h is one of
+    the spun rows. So the levels above get the pivots of a worklist that
+    keeps those recipes, in its order, and the deepest level gets its span.
     """
     seeds = list(seeds)
     chain = SubgroupChain(p, depth, gens=tuple(gens) if gens is not None else tuple(seeds))
+    last = depth - 1
     conj_pairs = [(~c, c) for c in conjugators]
     queue = deque(("seed", g) for g in seeds)
     while queue:
@@ -311,19 +325,62 @@ def close_chain(
                 for i, level in zip(again, redo.tolist()):
                     fail[i] = level
                 pending = [i for i in pending if fail[i] >= 0]
-            if d + 1 < depth:
-                queue.append(("pow", rep))
-            for e, other in chain.pivot_levels():
-                if other is rep:
-                    continue
-                if max(d, e) + (1 if d == e else 0) < depth:
-                    queue.append(("comm", rep, other))
+            if d == last:
+                continue
+            queue.append(("pow", rep))
+            for e, lv in enumerate(chain.levels[:last]):
+                if max(d, e) + (d == e) < depth:
+                    queue.extend(("comm", rep, other) for _, _, other in lv if other is not rep)
             for c_inv, c in conj_pairs:
                 queue.append(("conj", c_inv, rep, c))
                 queue.append(("conj", c, rep, c_inv))
+    upper = [rep for lv in chain.levels[:last] for _, _, rep in lv]
+    _spin(chain, (seeds if len(seeds) <= len(upper) else upper) + list(conjugators))
     # A finished chain keeps no sift state; a later sift rebuilds it at size.
     chain._solve = [None] * depth
     return chain
+
+
+def _spin(chain: SubgroupChain, actors) -> None:
+    """Close the deepest level of the chain under conjugation by the actors.
+
+    For h in St(n-1) with level-(n-1) labels v, the labels of g h g^-1 are
+    v[sigma_g], where sigma_g is g's action on the level-(n-1) vertices, and
+    g^-1 acts as a power of g. So the level is an F_p-subspace to spin: every
+    row, the ones the spin adds included, is permuted by every sigma_g, one
+    actor at a time, reduced by the level's rows and, when something is
+    left, brought to echelon form and appended with the portrait of its row.
+    Returns before any matrix work when there is nothing to spin: depth at
+    most 1, an empty deepest level, or only actors that fix level n-1.
+    """
+    p, depth = chain.p, chain.depth
+    if depth <= 1 or not chain.levels[-1]:
+        return
+    ident = identity_perm(p, depth - 1)
+    sigmas: dict[bytes, np.ndarray] = {}
+    for g in actors:
+        sigma = g.perm[::p] // p
+        if not np.array_equal(sigma, ident):
+            sigmas.setdefault(sigma.tobytes(), sigma)
+    if not sigmas:
+        return
+    lv = chain.levels[-1]
+    firsts, shifts = _deepest_rotations(p, depth)
+    done = 0
+    while done < len(lv):
+        fresh = np.array([row for _, row, _ in lv[done:]], dtype=np.int16)
+        done = len(lv)
+        for sigma in sigmas.values():
+            cols, _, ech = chain._level_state(depth - 1)
+            v = fresh[:, sigma]
+            v = (v - _residue_matmul(v[:, cols], ech, p)) % p
+            v = v[v.any(axis=1)]
+            if not len(v):
+                continue
+            rows, new_cols = row_echelon(v, p)
+            for col, row in zip(new_cols, rows):
+                perm = (firsts + shifts[row]).reshape(-1)
+                lv.append((col, row, Portrait._from_perm(p, depth, perm)))
 
 
 def _build(item: tuple, p: int) -> Portrait:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -5,6 +6,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from megs.chains import (
     ChainError,
@@ -16,13 +19,15 @@ from megs.chains import (
     _write_atomic,
     block_product_chain,
     chain_digest,
+    close_chain,
     embed_pivots,
     quotient,
     section_chain,
 )
 from megs.cli import main
 from megs.datum import NumericalDatum, generator_portraits
-from megs.portraits import Portrait, commutator
+from megs.fp import rank_mod, row_echelon
+from megs.portraits import Portrait, commutator, label_count, level_offsets
 
 GS = NumericalDatum.from_text("p = 3; E1 = (1, 2)")
 S22 = NumericalDatum.from_text("p = 3; E1 = (2, 2)")
@@ -130,19 +135,39 @@ def test_frozen_constant_pair_orders():
     assert q4.kernel_derived(1).order_exponent() == 20
 
 
+PINNED = [
+    ("p = 3; E1 = (2, 2)", 4, "full"),
+    ("p = 3; E1 = (2, 2)", 4, "derived"),
+    ("p = 3; E1 = (2, 2)", 4, "gamma3"),
+    ("p = 5; E1 = (1, 2, 0, 0)", 3, "full"),
+    ("p = 5; E1 = (1, 2, 0, 0)", 3, "derived"),
+    ("p = 3; E1 = (2, 2)", 5, "full"),
+    ("p = 3; E1 = (2, 2)", 5, "derived"),
+    ("p = 3; E1 = (2, 2)", 5, "gamma3"),
+    ("p = 3; E1 = (1, 2)", 5, "full"),
+    ("p = 3; E1 = (1, 0), (0, 1)", 5, "full"),
+]
+
+
 @pytest.mark.parametrize(
     "text, level, descriptor, digest",
     [
-        ("p = 3; E1 = (2, 2)", 4, "full", "7b0ad9fea75ea185"),
-        ("p = 3; E1 = (2, 2)", 4, "derived", "316be755978a437e"),
-        ("p = 3; E1 = (2, 2)", 4, "gamma3", "d60b5ca410922010"),
-        ("p = 5; E1 = (1, 2, 0, 0)", 3, "full", "08e168c06be0def0"),
-        ("p = 5; E1 = (1, 2, 0, 0)", 3, "derived", "b74db45004b96b15"),
-        ("p = 3; E1 = (2, 2)", 5, "full", "a75f199161121531"),
-        ("p = 3; E1 = (2, 2)", 5, "derived", "b82a44b68e32a633"),
-        ("p = 3; E1 = (2, 2)", 5, "gamma3", "22c187a47396ac28"),
-        ("p = 3; E1 = (1, 2)", 5, "full", "165b90186928016f"),
-        ("p = 3; E1 = (1, 0), (0, 1)", 5, "full", "7a972106ea9297f6"),
+        (*case, digest)
+        for case, digest in zip(
+            PINNED,
+            [
+                "7b0ad9fea75ea185",
+                "316be755978a437e",
+                "d60b5ca410922010",
+                "7fbb1036c8562236",
+                "457cd49e5a2d5030",
+                "a75f199161121531",
+                "b82a44b68e32a633",
+                "22c187a47396ac28",
+                "a247288fe7b67ba8",
+                "2fbf934cf5c9682a",
+            ],
+        )
     ],
 )
 def test_pivot_order_is_pinned(text, level, descriptor, digest):
@@ -151,6 +176,65 @@ def test_pivot_order_is_pinned(text, level, descriptor, digest):
     # how it finds pivots must leave them where they were.
     chain = quotient(NumericalDatum.from_text(text), level).chain(descriptor)
     assert chain_digest(chain)[:16] == digest
+
+
+def upper_and_deepest_span(chain):
+    """Digests of the generators with every level above the deepest, and of the deepest span.
+
+    The first covers those pivots in insertion order; the second hashes the
+    reduced row echelon form of the deepest rows, which only their span fixes.
+    """
+    upper = SubgroupChain(chain.p, chain.depth, chain.gens)
+    upper.levels[:-1] = chain.levels[:-1]
+    ech, _ = row_echelon([row for _, row, _ in chain.levels[-1]], chain.p)
+    return chain_digest(upper)[:16], hashlib.sha256(ech.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "text, level, descriptor, upper, span",
+    [
+        (*case, *digests)
+        for case, digests in zip(
+            PINNED,
+            [
+                ("92da7d8d9ab2badc", "19d1f1da76e3e011"),
+                ("7174befeb104552a", "19d1f1da76e3e011"),
+                ("908345c30e3b80e9", "19d1f1da76e3e011"),
+                ("0ce89df5fb89ecbd", "7bf3b4992412f018"),
+                ("0bc3aeeee96325a4", "7bf3b4992412f018"),
+                ("7b633613094e5272", "57afc95dcdc5f099"),
+                ("d7d9e527a9487bcd", "57afc95dcdc5f099"),
+                ("e7c4af9966b0cdb5", "57afc95dcdc5f099"),
+                ("1a8e95a20f7d3a57", "03ea633bf3d2e972"),
+                ("d3415fc63d738eef", "8e1d30920947e351"),
+            ],
+        )
+    ],
+)
+def test_upper_pivots_and_deepest_span_are_pinned(text, level, descriptor, upper, span):
+    # Values of the worklist closure that also sifted every commutator and
+    # conjugate of a deepest pivot: spinning the deepest level must keep
+    # every pivot above it and the span of its rows.
+    chain = quotient(NumericalDatum.from_text(text), level).chain(descriptor)
+    assert upper_and_deepest_span(chain) == (upper, span)
+
+
+@pytest.mark.parametrize(
+    "text, level, circulant",
+    [("p = 3; E1 = (2, 2)", 6, False), ("p = 3; E1 = (1, 2)", 6, True), ("p = 5; E1 = (1, 2, 0, 0)", 5, True)],
+)
+def test_orders_follow_the_known_formulas_beyond_brute_force(text, level, circulant):
+    datum = NumericalDatum.from_text(text)
+    p = datum.p
+    if circulant:
+        # log_p |Q_n| = t * p^(n-2) + 1 for a non-symmetric GGS vector, t the
+        # rank of its circulant matrix (Fernandez-Alcober, Zugadi-Reizabal).
+        first = list(datum.family(1)[0]) + [0]
+        t = rank_mod([first[-i:] + first[:-i] for i in range(p)], p)
+        want = t * p ** (level - 2) + 1
+    else:
+        want = (3**level + 2 * level + 3) // 4  # single-22, n = 2..7
+    assert quotient(datum, level).order_exponent() == want
 
 
 def reference_sift(chain, g):
@@ -231,32 +315,70 @@ def test_batched_sift_follows_levels_appended_after_a_sift():
     assert all(partial.contains(g) for g in full.pivots())
 
 
-def test_batched_closure_finds_the_sequential_pivots():
-    def reference_close(p, depth, seeds, conjugators=()):
-        chain = SubgroupChain(p, depth, gens=tuple(seeds))
-        queue = deque(seeds)
-        while queue:
-            d, residual = reference_sift(chain, queue.popleft())
-            if d is None:
-                continue
-            rep = chain._insert(residual, d)
-            if d + 1 < depth:
-                queue.append(rep ** p)
-            for e, other in chain.pivot_levels():
-                if other is not rep and max(d, e) + (d == e) < depth:
-                    queue.append(commutator(rep, other))
-            for c in conjugators:
-                queue.append(~c * rep * c)
-                queue.append(c * rep * ~c)
-        return chain
+def reference_close(p, depth, seeds, conjugators=()):
+    """The one-at-a-time worklist closure that also sifts every recipe of a deepest pivot."""
+    chain = SubgroupChain(p, depth, gens=tuple(seeds))
+    queue = deque(seeds)
+    while queue:
+        d, residual = reference_sift(chain, queue.popleft())
+        if d is None:
+            continue
+        rep = chain._insert(residual, d)
+        if d + 1 < depth:
+            queue.append(rep ** p)
+        for e, lv in enumerate(chain.levels):
+            if max(d, e) + (d == e) < depth:
+                queue.extend(commutator(rep, other) for _, _, other in lv if other is not rep)
+        for c in conjugators:
+            queue.append(~c * rep * c)
+            queue.append(c * rep * ~c)
+    return chain
 
+
+def _assert_same_closure(got, want):
+    assert got.dims() == want.dims()
+    assert upper_and_deepest_span(got) == upper_and_deepest_span(want)
+
+
+def test_batched_closure_finds_the_sequential_pivots():
     for text, depth in (("p = 3; E1 = (1, 0), (0, 1)", 4), ("p = 5; E1 = (1, 2, 0, 0)", 3)):
         q = quotient(NumericalDatum.from_text(text), depth)
         gens = q.gen_list
         comms = [commutator(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
-        assert chain_digest(reference_close(q.datum.p, depth, list(gens))) == chain_digest(q.full())
-        want = reference_close(q.datum.p, depth, comms, conjugators=gens)
-        assert chain_digest(want) == chain_digest(q.derived())
+        _assert_same_closure(q.full(), reference_close(q.datum.p, depth, list(gens)))
+        _assert_same_closure(q.derived(), reference_close(q.datum.p, depth, comms, conjugators=gens))
+
+
+@st.composite
+def seed_sets(draw):
+    """p, depth, seeds and conjugators; each portrait fixes the tree to a random depth."""
+    p = draw(st.sampled_from([3, 5]))
+    depth = draw(st.integers(1, 4 if p == 3 else 3))
+    offs = level_offsets(p, depth)
+
+    def portrait():
+        top = offs[draw(st.integers(0, depth - 1))]
+        rest = label_count(p, depth) - top
+        return Portrait(p, depth, [0] * top + draw(st.lists(st.integers(0, p - 1), min_size=rest, max_size=rest)))
+
+    seeds = [portrait() for _ in range(draw(st.integers(1, 6)))]
+    return p, depth, seeds, [portrait() for _ in range(draw(st.integers(0, 2)))]
+
+
+_Q3 = quotient(GS, 3)
+
+
+@given(case=seed_sets())
+# More seeds than pivots above the deepest level, so those pivots act; then
+# fewer, so the seeds act; each with and without conjugators.
+@example(case=(3, 3, list(_Q3.gen_list) + _Q3.kernel(2).pivots()[:4], []))
+@example(case=(3, 3, list(_Q3.gen_list), []))
+@example(case=(3, 3, [commutator(*_Q3.gen_list)] * 5, list(_Q3.gen_list)))
+@example(case=(3, 3, [commutator(*_Q3.gen_list)], list(_Q3.gen_list)))
+def test_closure_matches_the_sequential_reference_on_random_seeds(case):
+    p, depth, seeds, conjugators = case
+    got = close_chain(p, depth, seeds, conjugators=tuple(conjugators))
+    _assert_same_closure(got, reference_close(p, depth, seeds, conjugators))
 
 
 @pytest.mark.parametrize("p, k", [(3, 40), (5, 2047), (7, 910), (7, 1000)])
