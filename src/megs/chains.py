@@ -280,7 +280,6 @@ def close_chain(
     depth: int,
     seeds,
     conjugators: tuple[Portrait, ...] = (),
-    gens: tuple[Portrait, ...] | None = None,
 ) -> SubgroupChain:
     """Chain of the subgroup generated by the seeds, closed under the conjugators.
 
@@ -306,7 +305,7 @@ def close_chain(
     keeps those recipes, in its order, and the deepest level gets its span.
     """
     seeds = list(seeds)
-    chain = SubgroupChain(p, depth, gens=tuple(gens) if gens is not None else tuple(seeds))
+    chain = SubgroupChain(p, depth, gens=tuple(seeds))
     last = depth - 1
     conj_pairs = [(~c, c) for c in conjugators]
     queue = deque(("seed", g) for g in seeds)
@@ -613,7 +612,6 @@ class FiniteQuotient:
         degree_guard: int = DEFAULT_DEGREE_GUARD,
         store: ChainStore | None = None,
     ):
-        datum.require_valid()
         if level < 0:
             raise ChainError(f"level must be nonnegative, got {level}")
         if datum.p ** level > degree_guard:
@@ -636,7 +634,7 @@ class FiniteQuotient:
     def _build(self, descriptor: str) -> SubgroupChain:
         p, n = self.datum.p, self.level
         if descriptor == "full":
-            return close_chain(p, n, self.gen_list, gens=self.gen_list)
+            return close_chain(p, n, self.gen_list)
         if descriptor == "derived":
             return derived_chain(p, n, self.gen_list)
         if descriptor == "gamma3":
@@ -670,17 +668,11 @@ class FiniteQuotient:
     def gamma3(self) -> SubgroupChain:
         return self.chain("gamma3")
 
-    def second_derived(self) -> SubgroupChain:
-        return self.chain("second-derived")
-
     def kernel(self, k: int) -> SubgroupChain:
         return self.chain(f"kernel:{k}")
 
     def kernel_derived(self, k: int) -> SubgroupChain:
         return self.chain(f"kernel-derived:{k}")
-
-    def kernel_gamma3(self, k: int) -> SubgroupChain:
-        return self.chain(f"kernel-gamma3:{k}")
 
     def order(self) -> int:
         return self.full().order()
@@ -689,10 +681,7 @@ class FiniteQuotient:
         return self.full().order_exponent()
 
     def normal_closure(self, elements) -> SubgroupChain:
-        seeds = tuple(elements)
-        return close_chain(
-            self.datum.p, self.level, seeds, conjugators=self.gen_list, gens=seeds
-        )
+        return close_chain(self.datum.p, self.level, elements, conjugators=self.gen_list)
 
 
 def derived_chain(p: int, depth: int, gens: tuple[Portrait, ...]) -> SubgroupChain:

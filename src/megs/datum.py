@@ -41,14 +41,12 @@ class NumericalDatum:
     p: int
     families: tuple[tuple[tuple[int, ...], ...], ...]
 
-    @classmethod
-    def create(cls, p: int, families) -> "NumericalDatum":
-        packed = tuple(tuple(tuple(int(x) for x in vec) for vec in fam) for fam in families)
-        if len(packed) < p:
-            packed = packed + ((),) * (p - len(packed))
-        datum = cls(p, packed)
-        datum.require_valid()
-        return datum
+    def __post_init__(self):
+        _check_datum(
+            self.p,
+            len(self.families),
+            {j: fam for j, fam in enumerate(self.families, start=1) if fam},
+        )
 
     # -- structure ----------------------------------------------------------
 
@@ -68,42 +66,6 @@ class NumericalDatum:
         for fam in self.families:
             out.extend(fam)
         return out
-
-    # -- validation ----------------------------------------------------------
-
-    def validate(self) -> list[str]:
-        problems = []
-        p = self.p
-        if not _is_prime(p) or p == 2:
-            problems.append(f"p must be an odd prime, got {p}")
-            return problems
-        if len(self.families) != p:
-            problems.append(f"expected {p} families, got {len(self.families)}")
-            return problems
-        total = 0
-        for j in range(1, p + 1):
-            fam = self.families[j - 1]
-            total += len(fam)
-            if len(fam) > p - 1:
-                problems.append(f"family {j} has {len(fam)} vectors, at most {p - 1} allowed")
-            for i, vec in enumerate(fam, start=1):
-                if len(vec) != p - 1:
-                    problems.append(
-                        f"vector {i} of family {j} has length {len(vec)}, expected {p - 1}"
-                    )
-                elif any(not 0 <= x < p for x in vec):
-                    problems.append(f"vector {i} of family {j} has entries outside 0..{p - 1}")
-            vecs = [v for v in fam if len(v) == p - 1]
-            if vecs and rank_mod(vecs, p) < len(vecs):
-                problems.append(f"family {j} is linearly dependent")
-        if total == 0:
-            problems.append("at least one family must be nonempty")
-        return problems
-
-    def require_valid(self) -> None:
-        problems = self.validate()
-        if problems:
-            raise DatumError("; ".join(problems))
 
     # -- serialization ---------------------------------------------------------
 
@@ -149,16 +111,47 @@ class NumericalDatum:
         for j in fams:
             if not 1 <= j <= p:
                 raise DatumError(f"family index {j} outside 1..{p}")
-        families = tuple(fams.get(j, ()) for j in range(1, p + 1))
-        datum = cls(p, families)
-        problems = datum.validate()
-        if problems:
-            raise DatumError("; ".join(problems))
-        return datum
+        # Checked before the families are padded to p, so a huge p costs nothing.
+        _check_datum(p, p, fams)
+        return cls(p, tuple(fams.get(j, ()) for j in range(1, p + 1)))
+
+
+def _check_datum(p: int, count: int, named: dict[int, tuple[tuple[int, ...], ...]]) -> None:
+    """Raise DatumError unless p and the `count` families form a valid datum.
+
+    `named` maps the index of each nonempty family to its vectors; the
+    problems of the families are all named, in family order. The cost
+    is bounded by the size of the vectors: p is tested for primality only
+    when p - 1 is at most the longest vector's length. Otherwise a vector has
+    the wrong length, or there is none, whatever p is, and that is reported.
+    """
+    for j, fam in named.items():
+        if not (isinstance(fam, tuple) and all(isinstance(vec, tuple) for vec in fam)):
+            raise DatumError(f"family {j} must be a tuple of vectors, each a tuple of integers")
+    longest = max((len(vec) for fam in named.values() for vec in fam), default=0)
+    if p - 1 <= longest and (p == 2 or not _is_prime(p)):
+        raise DatumError(f"p must be an odd prime, got {p}")
+    if count != p:
+        raise DatumError(f"expected {p} families, got {count}")
+    problems = []
+    for j, fam in sorted(named.items()):
+        if len(fam) > p - 1:
+            problems.append(f"family {j} has {len(fam)} vectors, at most {p - 1} allowed")
+        for i, vec in enumerate(fam, start=1):
+            if len(vec) != p - 1:
+                problems.append(f"vector {i} of family {j} has length {len(vec)}, expected {p - 1}")
+            elif any(not 0 <= x < p for x in vec):
+                problems.append(f"vector {i} of family {j} has entries outside 0..{p - 1}")
+        vecs = [[x % p for x in vec] for vec in fam if len(vec) == p - 1]
+        if vecs and rank_mod(vecs, p) < len(vecs):
+            problems.append(f"family {j} is linearly dependent")
+    if not named:
+        problems.append("at least one family must be nonempty")
+    if problems:
+        raise DatumError("; ".join(problems))
 
 
 def _parse_vectors(value: str, lineno: int) -> tuple[tuple[int, ...], ...]:
-    rest = value
     vecs = []
     pattern = re.compile(r"\(([^()]*)\)")
     pos = 0
@@ -218,7 +211,6 @@ def _generator_portrait_cached(datum: NumericalDatum, j: int, i: int, depth: int
 
 def generator_portrait(datum: NumericalDatum, j: int, i: int, depth: int) -> Portrait:
     """Depth-truncated portrait of directed generator i of family j."""
-    datum.require_valid()
     if j not in datum.nonempty_families:
         raise DatumError(f"family {j} is empty or out of range")
     if not 1 <= i <= len(datum.family(j)):
@@ -228,7 +220,6 @@ def generator_portrait(datum: NumericalDatum, j: int, i: int, depth: int) -> Por
 
 def generator_portraits(datum: NumericalDatum, depth: int) -> dict[str, Portrait]:
     """All generator portraits keyed by name, rooted generator first."""
-    datum.require_valid()
     out = {"a": Portrait.rooted(datum.p, depth, 1)}
     for j in datum.nonempty_families:
         for i in range(1, len(datum.family(j)) + 1):
@@ -260,11 +251,10 @@ OUTSIDE_SCOPE = "OutsideTheoremScope"
 
 def is_torsion(datum: NumericalDatum) -> bool:
     """Torsion holds exactly when every defining vector's entries sum to 0 mod p."""
-    datum.require_valid()
     return all(sum(v) % datum.p == 0 for v in datum.all_vectors())
 
 
-def _exceptional_pair(datum: NumericalDatum) -> tuple[int, int] | None:
+def exceptional_pair(datum: NumericalDatum) -> tuple[int, int] | None:
     """The two family indices if the datum lies in the exceptional class."""
     p = datum.p
     fams = datum.nonempty_families
@@ -291,7 +281,6 @@ def _exceptional_pair(datum: NumericalDatum) -> tuple[int, int] | None:
 
 
 def classify(datum: NumericalDatum) -> Classification:
-    datum.require_valid()
     p = datum.p
     vectors = datum.all_vectors()
     reasons = []
@@ -319,7 +308,7 @@ def classify(datum: NumericalDatum) -> Classification:
     if in_G_class:
         reasons.append("two or more singleton families, all vectors constant")
     in_S_class = all_symmetric and singletons
-    in_E_class = _exceptional_pair(datum) is not None
+    in_E_class = exceptional_pair(datum) is not None
     if in_E_class:
         reasons.append("two independent symmetric singletons scale to complementary 0/1 vectors")
 
@@ -355,11 +344,6 @@ def classify(datum: NumericalDatum) -> Classification:
     )
 
 
-def exceptional_pair(datum: NumericalDatum) -> tuple[int, int] | None:
-    datum.require_valid()
-    return _exceptional_pair(datum)
-
-
 # -- linear dependencies across families ----------------------------------------
 
 
@@ -386,7 +370,6 @@ class Dependency:
 
 def dependency(datum: NumericalDatum) -> Dependency | None:
     """A certified cross-family dependency, or None if the joint vectors are independent."""
-    datum.require_valid()
     p = datum.p
     vectors = datum.all_vectors()
     lam = left_kernel_vector(vectors, p)
@@ -417,7 +400,8 @@ def dependency(datum: NumericalDatum) -> Dependency | None:
     return dep
 
 
-def _syllable_portrait(datum: NumericalDatum, j: int, coeffs: tuple[int, ...], depth: int) -> Portrait:
+def syllable_portrait(datum: NumericalDatum, j: int, coeffs: tuple[int, ...], depth: int) -> Portrait:
+    """Portrait of the family-j syllable: the product of g_i^c_i over its generators."""
     out = Portrait.identity(datum.p, depth)
     for i, c in enumerate(coeffs, start=1):
         if c % datum.p:
@@ -427,10 +411,10 @@ def _syllable_portrait(datum: NumericalDatum, j: int, coeffs: tuple[int, ...], d
 
 def _verify_dependency(datum: NumericalDatum, dep: Dependency) -> None:
     depth = 2
-    c_portrait = _syllable_portrait(datum, dep.family, dep.coefficients, depth)
+    c_portrait = syllable_portrait(datum, dep.family, dep.coefficients, depth)
     expr = Portrait.identity(datum.p, depth)
     for factor in dep.factors:
-        base = _syllable_portrait(datum, factor.family, factor.coefficients, depth)
+        base = syllable_portrait(datum, factor.family, factor.coefficients, depth)
         conj = Portrait.rooted(datum.p, depth, factor.conjugator % datum.p)
         expr = expr * base.conj(conj)
     if c_portrait != expr:

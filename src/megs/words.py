@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .datum import NumericalDatum, generator_portrait
+from .datum import NumericalDatum, syllable_portrait
 from .portraits import Portrait
 import numpy as np
 
@@ -32,6 +32,11 @@ class ExceedsCap(Exception):
 
 class GuardExceeded(Exception):
     """A recursion or size guard tripped before the computation settled."""
+
+
+# Guards of is_trivial: section levels descended, and syllables in one word.
+MAX_SECTION_DEPTH = 30
+MAX_SYLLABLES = 10000
 
 
 def _reduce_syllables(p: int, syllables) -> tuple[tuple, ...]:
@@ -232,7 +237,6 @@ class _Parser:
 
 def parse_word(text: str, datum: NumericalDatum) -> GroupWord:
     """Parse word text: juxtaposition, a, b[j,i], ^k, ^(w), (...), [x, y]."""
-    datum.require_valid()
     parser = _Parser(_tokenize(text), datum)
     word = parser.parse_word()
     if parser.peek() is not None:
@@ -261,16 +265,12 @@ def word_to_text(word: GroupWord, datum: NumericalDatum) -> str:
 
 def evaluate(word: GroupWord, datum: NumericalDatum, depth: int) -> Portrait:
     """Portrait of the word at the given depth."""
-    datum.require_valid()
     out = Portrait.identity(datum.p, depth)
     for syl in word.syllables:
         if syl[0] == "a":
             out = out * Portrait.rooted(datum.p, depth, syl[1])
         else:
-            _, j, beta = syl
-            for i, c in enumerate(beta, start=1):
-                if c % datum.p:
-                    out = out * generator_portrait(datum, j, i, depth) ** (c % datum.p)
+            out = out * syllable_portrait(datum, syl[1], syl[2], depth)
     return out
 
 
@@ -287,7 +287,6 @@ def _combined_vector(datum: NumericalDatum, j: int, beta: tuple[int, ...]) -> tu
 
 def first_level_sections(word: GroupWord, datum: NumericalDatum) -> list[GroupWord]:
     """Sections at the p top-level vertices; the word must fix the first level."""
-    datum.require_valid()
     p = datum.p
     if word.a_exponent != 0:
         raise WordError("word does not fix the first level")
@@ -312,37 +311,29 @@ def first_level_sections(word: GroupWord, datum: NumericalDatum) -> list[GroupWo
     return sections
 
 
-def is_trivial(
-    word: GroupWord,
-    datum: NumericalDatum,
-    max_depth: int = 30,
-    max_syllables: int = 10000,
-) -> bool:
-    """Exact triviality via the section recursion; raises GuardExceeded if the guards trip."""
-    datum.require_valid()
-    return _is_trivial(word, datum, max_depth, max_syllables)
+def is_trivial(word: GroupWord, datum: NumericalDatum) -> bool:
+    """Exact triviality via the section recursion; raises GuardExceeded if the guards trip.
 
-
-def _is_trivial(word: GroupWord, datum: NumericalDatum, depth_left: int, max_syllables: int) -> bool:
-    if word.is_empty():
-        return True
-    if word.a_exponent != 0:
-        return False
-    if word.syllable_length == 1:
-        return False
-    if depth_left <= 0:
-        raise GuardExceeded("section recursion exceeded the depth guard")
-    if word.syllable_length > max_syllables:
-        raise GuardExceeded("word exceeded the syllable guard")
-    return all(
-        _is_trivial(sec, datum, depth_left - 1, max_syllables)
-        for sec in first_level_sections(word, datum)
-    )
+    The sections are visited depth first, in the order a recursion would
+    visit them, so the same first nontrivial section or guard decides.
+    """
+    stack = [(word, MAX_SECTION_DEPTH)]
+    while stack:
+        word, depth_left = stack.pop()
+        if word.is_empty():
+            continue
+        if word.a_exponent != 0 or word.syllable_length == 1:
+            return False
+        if depth_left <= 0:
+            raise GuardExceeded("section recursion exceeded the depth guard")
+        if word.syllable_length > MAX_SYLLABLES:
+            raise GuardExceeded("word exceeded the syllable guard")
+        stack.extend((sec, depth_left - 1) for sec in reversed(first_level_sections(word, datum)))
+    return True
 
 
 def order(word: GroupWord, datum: NumericalDatum, cap: int = 3**12) -> int:
     """Exact order of the word's automorphism; raises ExceedsCap beyond the cap."""
-    datum.require_valid()
     return _order(word, datum, cap, cap)
 
 
@@ -363,7 +354,6 @@ def _order(word: GroupWord, datum: NumericalDatum, cap: int, full_cap: int) -> i
 
 def abelianization(word: GroupWord, datum: NumericalDatum) -> tuple[int, ...]:
     """Exponent vector (rooted, then directed generators family by family) mod p."""
-    datum.require_valid()
     p = datum.p
     out = [word.a_exponent]
     for j in datum.nonempty_families:
@@ -407,7 +397,6 @@ class BranchElement:
 
 def evaluate_branch(element: BranchElement, datum: NumericalDatum, depth: int) -> Portrait:
     """Portrait of a branch element at the given depth; total on all inputs."""
-    datum.require_valid()
     p = datum.p
     if element.children is None:
         return evaluate(element.word, datum, depth)

@@ -124,7 +124,7 @@ def test_frozen_single_22_orders():
     assert q3.gamma3().order_exponent() == 6
     assert q3.kernel(1).order_exponent() == 8
     assert q3.kernel_derived(1).order_exponent() == 5
-    assert q3.kernel_gamma3(1).order_exponent() == 3
+    assert q3.chain("kernel-gamma3:1").order_exponent() == 3
 
 
 def test_frozen_constant_pair_orders():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from megs.datum import (
@@ -37,23 +42,77 @@ def test_parse_comments_and_blank_lines():
     assert d.family(1) == ((1, 2),)
 
 
+PARSE_ERRORS = [
+    ("E1 = (1, 2)", "datum text never defines p"),
+    ("p = 4; E1 = (1, 2, 3)", "p must be an odd prime, got 4"),
+    ("p = 3; E1 = (1, 2, 1)", "vector 1 of family 1 has length 3, expected 2"),
+    ("p = 3; E1 = (0, 0)", "family 1 is linearly dependent"),
+    ("p = 3; E4 = (1, 2)", "family index 4 outside 1..3"),
+    ("p = 3; E1 = (1, 2); E1 = (2, 1)", "line 3: family 1 defined twice"),
+    ("p = 3; E1 = (1, 2), (2, 1)", "family 1 is linearly dependent"),
+    ("p = 3", "at least one family must be nonempty"),
+    (
+        "p = 5; E2 = (1, 0, 0, 0), (2, 0, 0, 0); E1 = (1, 2)",
+        "vector 1 of family 1 has length 2, expected 4; family 2 is linearly dependent",
+    ),
+    (
+        "p = 3; E1 = (1, 2), (2, 1), (1, 1)",
+        "family 1 has 3 vectors, at most 2 allowed; family 1 is linearly dependent",
+    ),
+    ("p = 3; E1 = (1, 100000000000000000000)", "vector 1 of family 1 has entries outside 0..2"),
+    # p - 1 exceeds every vector's length, so the datum is invalid whatever p
+    # is, and p is not tested for primality.
+    ("p = 4; E1 = (1, 2)", "vector 1 of family 1 has length 2, expected 3"),
+    ("p = 2", "at least one family must be nonempty"),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(DatumError):
-        parse("E1 = (1, 2)")
-    with pytest.raises(DatumError):
-        parse("p = 4; E1 = (1, 2, 3)")
-    with pytest.raises(DatumError):
-        parse("p = 3; E1 = (1, 2, 1)")
-    with pytest.raises(DatumError):
-        parse("p = 3; E1 = (0, 0)")
-    with pytest.raises(DatumError):
-        parse("p = 3; E4 = (1, 2)")
-    with pytest.raises(DatumError):
-        parse("p = 3; E1 = (1, 2); E1 = (2, 1)")
-    with pytest.raises(DatumError):
-        parse("p = 3; E1 = (1, 2), (2, 1)")
-    with pytest.raises(DatumError):
-        parse("p = 3")
+    for text, message in PARSE_ERRORS:
+        with pytest.raises(DatumError) as info:
+            parse(text)
+        assert str(info.value) == message, text
+
+
+def test_direct_construction_is_validated():
+    with pytest.raises(DatumError, match="^family 1 is linearly dependent$"):
+        NumericalDatum(3, (((0, 0),), (), ()))
+    with pytest.raises(DatumError, match="^family 1 must be a tuple of vectors"):
+        NumericalDatum(3, ((0, 0), (), ()))
+    with pytest.raises(DatumError, match="^expected 3 families, got 1$"):
+        NumericalDatum(3, (((1, 2),),))
+    with pytest.raises(DatumError, match="^p must be an odd prime, got 4$"):
+        NumericalDatum(4, (((1, 2, 3),), (), (), ()))
+    assert NumericalDatum(3, (((1, 2),), (), ())) == parse("p = 3; E1 = (1, 2)")
+
+
+BIG_P = 2**127 - 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p = 10000019; E1 = (1, 2)", "vector 1 of family 1 has length 2, expected 10000018"),
+        ("p = 10000019", "at least one family must be nonempty"),
+        (f"p = {BIG_P}; E1 = (1, 2)", f"vector 1 of family 1 has length 2, expected {BIG_P - 1}"),
+    ],
+)
+def test_large_p_is_rejected_in_time_bounded_by_the_text(text, message):
+    # Each of these once built p families or trial-divided p before failing.
+    code = (
+        "import sys\n"
+        "from megs.datum import DatumError, NumericalDatum\n"
+        "try:\n"
+        "    NumericalDatum.from_text(sys.argv[1])\n"
+        "except DatumError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code, text], capture_output=True, text=True, timeout=20, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == message
 
 
 def test_vector_predicates():

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from megs import words
 from megs.datum import NumericalDatum
 from megs.portraits import Portrait
 from megs.words import (
     BranchElement,
     ExceedsCap,
     GroupWord,
+    GuardExceeded,
     WordError,
     abelianization,
     commutator_word,
@@ -158,6 +160,17 @@ def test_is_trivial():
     assert is_trivial(parse_word("a b[1] a^-1 a b[1]^-1 a^-1", GS), GS)
     assert not is_trivial(parse_word("a b[1]", GS), GS)
     assert not is_trivial(parse_word("a b[1] a^-1 b[1]^-1", GS), GS)
+
+
+def test_is_trivial_guards_trip(monkeypatch):
+    w = parse_word("[a, b[1]]", GS)
+    monkeypatch.setattr(words, "MAX_SECTION_DEPTH", 0)
+    with pytest.raises(GuardExceeded, match="depth guard"):
+        is_trivial(w, GS)
+    monkeypatch.setattr(words, "MAX_SECTION_DEPTH", 30)
+    monkeypatch.setattr(words, "MAX_SYLLABLES", 1)
+    with pytest.raises(GuardExceeded, match="syllable guard"):
+        is_trivial(w, GS)
 
 
 def test_branch_element_leaf_matches_word():
