@@ -33,7 +33,7 @@ import numpy as np
 
 from .datum import NumericalDatum, generator_portraits
 from .fp import row_echelon
-from .portraits import Portrait, commutator, identity_perm, level_offsets, perm_labels
+from .portraits import Portrait, commutator, identity_perm, level_offsets, perm_labels, vertex_position
 
 
 class ChainError(RuntimeError):
@@ -285,13 +285,10 @@ def close_chain(
 
     Lift: a worklist of recipes, not elements: ("seed", g), ("pow", rep),
     ("comm", rep, other) and ("conj", left, rep, right) for left * rep * right.
-    Up to BATCH recipes are built and sifted together, and the first failure
-    in pop order is inserted. A pivot appended to level d leaves the
-    reduction of every element as it was except at level d, where the
-    others' reduced rows are zero in its column. So members are dropped,
-    only the failures at level d are sifted again, from their residuals, and
-    pivots arrive in the order a one-at-a-time closure finds them. A pivot
-    of the deepest level enqueues nothing and is no other pivot's partner.
+    Up to BATCH recipes are built and absorbed together (`_absorb`), so
+    pivots arrive in the order a one-at-a-time closure finds them, and each
+    pivot enqueues its recipes as it is inserted. A pivot of the deepest
+    level enqueues nothing and is no other pivot's partner.
 
     Spin: `_spin` then closes the deepest level under conjugation by the
     seeds or the pivots above that level, whichever are fewer, and by the
@@ -311,19 +308,7 @@ def close_chain(
     queue = deque(("seed", g) for g in seeds)
     while queue:
         batch = [_build(queue.popleft(), p) for _ in range(min(BATCH, len(queue)))]
-        fail, perms = chain.sift_batch(np.stack([g.perm for g in batch]))
-        fail = fail.tolist()
-        pending = [i for i, level in enumerate(fail) if level >= 0]
-        while pending:
-            first = pending.pop(0)
-            d = fail[first]
-            rep = chain._insert(Portrait._from_perm(p, depth, perms[first].copy()), d)
-            again = [i for i in pending if fail[i] == d]
-            if again:
-                redo, perms[again] = chain.sift_batch(perms[again])
-                for i, level in zip(again, redo.tolist()):
-                    fail[i] = level
-                pending = [i for i in pending if fail[i] >= 0]
+        for rep, d in _absorb(chain, np.stack([g.perm for g in batch])):
             if d == last:
                 continue
             queue.append(("pow", rep))
@@ -338,6 +323,62 @@ def close_chain(
     # A finished chain keeps no sift state; a later sift rebuilds it at size.
     chain._solve = [None] * depth
     return chain
+
+
+def _absorb(chain: SubgroupChain, perms: np.ndarray):
+    """Sift a stack of leaf permutations into the chain, row by row in order.
+
+    Yields (representative, level) for each pivot right after inserting it.
+    All rows are sifted together and the first failure is inserted. A pivot
+    appended to level d leaves the reduction of every row as it was except
+    at level d, where the others' reduced rows are zero in its column. So
+    members are dropped and only the failures at level d are sifted again,
+    from their residuals: the pivots are those of inserting the rows one at
+    a time.
+    """
+    p, depth = chain.p, chain.depth
+    fail, perms = chain.sift_batch(perms)
+    fail = fail.tolist()
+    pending = [i for i, level in enumerate(fail) if level >= 0]
+    while pending:
+        first = pending.pop(0)
+        d = fail[first]
+        rep = chain._insert(Portrait._from_perm(p, depth, perms[first].copy()), d)
+        again = [i for i in pending if fail[i] == d]
+        if again:
+            redo, perms[again] = chain.sift_batch(perms[again])
+            for i, level in zip(again, redo.tolist()):
+                fail[i] = level
+            pending = [i for i in pending if fail[i] >= 0]
+        yield rep, d
+
+
+def _image_chain(p: int, depth: int, images: np.ndarray) -> SubgroupChain:
+    """Chain of psi(H), from the images under a homomorphism psi of H's pivots.
+
+    `images` stacks the leaf permutations of psi(g_1), ..., psi(g_m), for the
+    pivots g_1, ..., g_m of a chain of H in level order. The staircase
+    products H_i of g_i, ..., g_m form a subgroup series, with H_{i+1} of
+    index p in H_i and normal in it: below H ∩ St(d), the subgroups that
+    contain H ∩ St(d+1) are normal, because St(d)/St(d+1) is abelian. So
+    psi(H_{i+1}) is normal of index 1 or p in psi(H_i) = <psi(g_i),
+    psi(H_{i+1})>, and a complete chain of psi(H_{i+1}) becomes one of
+    psi(H_i) by sifting psi(g_i) and inserting its residual when it fails.
+    Absorbing psi(g_m), ..., psi(g_1) in that order therefore closes nothing.
+    """
+    chain = SubgroupChain(p, depth, gens=tuple(Portrait._from_perm(p, depth, g) for g in images))
+    for _ in _absorb(chain, images[::-1]):
+        pass
+    chain._solve = [None] * depth
+    return chain
+
+
+def _pivot_stack(chain: SubgroupChain) -> np.ndarray:
+    """The pivots' leaf permutations in level order, one row each."""
+    pivots = chain.pivots()
+    if not pivots:
+        return np.empty((0, chain.p**chain.depth), dtype=np.int32)
+    return np.stack([rep.perm for rep in pivots])
 
 
 def _spin(chain: SubgroupChain, actors) -> None:
@@ -406,13 +447,25 @@ def level_kernel_chain(chain: SubgroupChain, k: int) -> SubgroupChain:
 
 
 def section_chain(chain: SubgroupChain, vertex: tuple[int, ...]) -> SubgroupChain:
-    """Chain of the sections at `vertex` of the stabilizer of `vertex` in the chain group."""
+    """Chain of the sections at `vertex` of the stabilizer of `vertex` in the chain group.
+
+    When every pivot fixes the vertex, so does the whole group, and taking
+    sections at it is a homomorphism on the group: the sections of the
+    pivots, one slice of their leaf permutations, are absorbed in reverse
+    level order (`_image_chain`) and no closure is needed. Otherwise the
+    stabilizer's Schreier generators are cut down to sections and closed.
+    """
     p, depth = chain.p, chain.depth
     k = len(vertex)
     if not 0 < k <= depth:
         raise ChainError(f"vertex length {k} outside 1..{depth}")
-    pivots = chain.pivots()
     vertex = tuple(vertex)
+    width = p ** (depth - k)
+    start = vertex_position(vertex, p) * width
+    stack = _pivot_stack(chain)
+    if (stack[:, start] // width == start // width).all():
+        return _image_chain(p, depth - k, stack[:, start : start + width] - start)
+    pivots = chain.pivots()
     orbit: dict[tuple[int, ...], Portrait] = {vertex: Portrait.identity(p, depth)}
     frontier = deque([vertex])
     while frontier:
@@ -423,22 +476,15 @@ def section_chain(chain: SubgroupChain, vertex: tuple[int, ...]) -> SubgroupChai
             if w not in orbit:
                 orbit[w] = t * g
                 frontier.append(w)
-    if len(orbit) == 1:
-        stab_gens = pivots
-    else:
-        stab_gens = []
-        for v, t in orbit.items():
-            for g in pivots:
-                w = g.act(v)
-                stab_gens.append(t * g * ~orbit[w])
     seeds = []
     seen = set()
-    for s in stab_gens:
-        sec = s.section(vertex)
-        if sec.is_identity() or sec in seen:
-            continue
-        seen.add(sec)
-        seeds.append(sec)
+    for v, t in orbit.items():
+        for g in pivots:
+            sec = (t * g * ~orbit[g.act(v)]).section(vertex)
+            if sec.is_identity() or sec in seen:
+                continue
+            seen.add(sec)
+            seeds.append(sec)
     return close_chain(p, depth - k, seeds)
 
 
@@ -448,11 +494,20 @@ def embed_pivots(p: int, depth: int, vertex: tuple[int, ...], sub: SubgroupChain
 
 
 def block_product_chain(p: int, depth: int, k: int, sub: SubgroupChain) -> SubgroupChain:
-    """Chain generated by copies of `sub` planted below every depth-k vertex."""
-    seeds = []
-    for vertex in iter_product(range(1, p + 1), repeat=k):
-        seeds.extend(embed_pivots(p, depth, vertex, sub))
-    return close_chain(p, depth, seeds)
+    """Chain generated by copies of `sub` planted below every depth-k vertex.
+
+    The copies commute and meet trivially, so their pivots, vertex by vertex
+    in breadth-first order, are the pivots of a chain of the product, and
+    `_image_chain` takes them in without a closure.
+    """
+    if sub.p != p or sub.depth != depth - k:
+        raise ChainError(f"a depth-{sub.depth} chain does not fit below depth {k} of depth {depth}")
+    piv = _pivot_stack(sub)
+    m, width = piv.shape
+    copies = np.tile(identity_perm(p, depth), (p**k * m, 1))
+    for j in range(p**k):
+        copies[j * m : (j + 1) * m, j * width : (j + 1) * width] = piv + j * width
+    return _image_chain(p, depth, copies)
 
 
 # -- persistent store -----------------------------------------------------------
@@ -491,7 +546,7 @@ class ChainStore:
             try:
                 with open(path) as fh:
                     chain = _chain_from_dict(json.load(fh), datum.p, level)
-            except (ValueError, KeyError, TypeError, IndexError, OSError):
+            except (ValueError, KeyError, TypeError, IndexError, OverflowError, OSError):
                 chain = None
         if chain is None:
             chain = builder()
@@ -568,32 +623,55 @@ def _chain_to_dict(chain: SubgroupChain) -> dict:
 
 
 def _chain_from_dict(data: dict, p: int, depth: int) -> SubgroupChain:
-    """The chain a cache file holds; ValueError when the file fails a check."""
+    """The chain a cache file holds; ValueError when the file fails a check.
+
+    The generators and each level's representatives are read as one int16
+    stack each and checked as a whole: residues mod p, no label above level
+    d, level-d labels equal to the row, and the row's pivot column holding 1,
+    as `_insert` stores them.
+    """
     if data["v"] != CACHE_FORMAT or data["p"] != p or data["depth"] != depth:
         raise ValueError("cache file has another format, p or depth")
     if len(data["levels"]) != depth:
         raise ValueError("cache file has the wrong number of levels")
-    chain = SubgroupChain(
-        p, depth, gens=tuple(Portrait(p, depth, g) for g in data["gens"])
-    )
+    chain = SubgroupChain(p, depth, gens=_portraits(p, depth, _label_stack(p, depth, data["gens"])))
     offs = level_offsets(p, depth)
     for d, lv in enumerate(data["levels"]):
-        for col, row, rep in lv:
-            row = np.array(row, dtype=np.int64)
-            rep = Portrait(p, depth, rep)
-            # _insert stores the level-d labels of a representative that fixes
-            # the tree to depth d, scaled so the pivot column holds 1.
-            if (
-                rep.labels[: offs[d]].any()
-                or not np.array_equal(rep.level_labels(d), row)
-                or not 0 <= col < row.size
-                or row[col] != 1
-            ):
-                raise ValueError(f"cache file level {d} has an inconsistent pivot")
-            chain.levels[d].append((int(col), row, rep))
+        if not lv:
+            continue
+        if any(len(entry) != 3 for entry in lv):
+            raise ValueError(f"cache file level {d} has a malformed pivot")
+        cols, rows, reps = zip(*lv)
+        cols = np.array(cols)
+        rows = np.array(rows, dtype=np.int64)
+        reps = _label_stack(p, depth, reps)
+        if (
+            cols.dtype.kind != "i"
+            or rows.shape != (len(lv), p**d)
+            or reps[:, : offs[d]].any()
+            or not np.array_equal(reps[:, offs[d] : offs[d + 1]], rows)
+            or not ((0 <= cols) & (cols < p**d)).all()
+            or not (rows[np.arange(len(lv)), cols] == 1).all()
+        ):
+            raise ValueError(f"cache file level {d} has an inconsistent pivot")
+        chain.levels[d] = list(zip(cols.tolist(), rows, _portraits(p, depth, reps)))
     if data["sha256"] != chain_digest(chain):
         raise ValueError("cache file digest does not match its contents")
     return chain
+
+
+def _label_stack(p: int, depth: int, labels) -> np.ndarray:
+    """Label lists as one read-only int16 stack, one row per portrait."""
+    total = level_offsets(p, depth)[-1]
+    stack = np.array(labels, dtype=np.int16) if len(labels) else np.empty((0, total), np.int16)
+    if stack.shape != (len(labels), total) or (stack.size and (stack.min() < 0 or stack.max() >= p)):
+        raise ValueError("cache file has a portrait with the wrong labels")
+    stack.setflags(write=False)
+    return stack
+
+
+def _portraits(p: int, depth: int, stack: np.ndarray) -> tuple[Portrait, ...]:
+    return tuple(Portrait(p, depth, labels, _checked=True) for labels in stack)
 
 
 # -- congruence quotients ---------------------------------------------------------
@@ -614,10 +692,14 @@ class FiniteQuotient:
     ):
         if level < 0:
             raise ChainError(f"level must be nonnegative, got {level}")
-        if datum.p ** level > degree_guard:
-            raise DegreeGuardError(
-                f"degree {datum.p ** level} exceeds the guard {degree_guard}"
-            )
+        # Multiply up to the guard rather than build p^level, which may be huge.
+        degree, step = 1, 0
+        while degree <= degree_guard and step < level:
+            degree *= datum.p
+            step += 1
+        if degree > degree_guard:
+            shown = degree if step == level else f"{datum.p}^{level}"
+            raise DegreeGuardError(f"degree {shown} exceeds the guard {degree_guard}")
         self.datum = datum
         self.level = level
         self.store = store if store is not None else ChainStore()
@@ -627,6 +709,10 @@ class FiniteQuotient:
     # -- chain accessors -----------------------------------------------------
 
     def chain(self, descriptor: str) -> SubgroupChain:
+        """The chain a descriptor names, from the store; a level kernel
+        `kernel:k` is a view of the full chain and is neither stored nor built."""
+        if descriptor.startswith("kernel:"):
+            return level_kernel_chain(self.chain("full"), int(descriptor.split(":", 1)[1]))
         return self.store.get_or_build(
             self.datum, self.level, descriptor, lambda: self._build(descriptor)
         )
@@ -644,9 +730,6 @@ class FiniteQuotient:
         if descriptor == "second-derived":
             d = self.chain("derived")
             return derived_chain(p, n, tuple(d.pivots()))
-        if descriptor.startswith("kernel:"):
-            k = int(descriptor.split(":", 1)[1])
-            return level_kernel_chain(self.chain("full"), k)
         if descriptor.startswith("kernel-derived:"):
             k = int(descriptor.split(":", 1)[1])
             h = self.chain(f"kernel:{k}")

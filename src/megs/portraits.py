@@ -79,7 +79,7 @@ def _perm_from_labels(p: int, depth: int, labels: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _position(vertex: tuple[int, ...], p: int) -> int:
+def vertex_position(vertex: tuple[int, ...], p: int) -> int:
     """Breadth-first index of a vertex within its level."""
     q = 0
     for x in vertex:
@@ -204,7 +204,7 @@ class Portrait:
             )
         p = self.p
         width = p ** (self.depth - len(vertex))
-        image = int(self.perm[_position(vertex, p) * width]) // width
+        image = int(self.perm[vertex_position(vertex, p) * width]) // width
         out = []
         for _ in vertex:
             image, x = divmod(image, p)
@@ -271,7 +271,7 @@ class Portrait:
             raise TreeError(f"section undefined: vertex {vertex} is moved")
         sub_depth = self.depth - len(vertex)
         width = self.p**sub_depth
-        start = _position(vertex, self.p) * width
+        start = vertex_position(vertex, self.p) * width
         return Portrait._from_perm(self.p, sub_depth, self.perm[start : start + width] - start)
 
     def truncate(self, depth: int) -> "Portrait":
@@ -285,7 +285,7 @@ class Portrait:
         if sub.p != p or sub.depth != depth - len(vertex):
             raise TreeError("embedded portrait must have depth equal to the remaining depth")
         width = p**sub.depth
-        start = _position(vertex, p) * width
+        start = vertex_position(vertex, p) * width
         perm = identity_perm(p, depth).copy()
         perm[start : start + width] = sub.perm + start
         return cls._from_perm(p, depth, perm)

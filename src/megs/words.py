@@ -112,11 +112,21 @@ class GroupWord:
         return GroupWord.from_syllables(self.p, inv)
 
     def __pow__(self, e: int) -> "GroupWord":
+        """Power by repeated squaring. Raises GuardExceeded once a factor it
+        needs passes MAX_SYLLABLES: the reduced word of w^e is at least as
+        long as that of w^f for 1 <= f <= e, so the power would pass it too."""
         if e < 0:
             return (~self) ** (-e)
         out = GroupWord.identity(self.p)
-        for _ in range(e):
-            out = out * self
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
+            if max(out.syllable_length, base.syllable_length) > MAX_SYLLABLES:
+                raise GuardExceeded(f"a power of a word exceeded the syllable guard {MAX_SYLLABLES}")
         return out
 
     def conj(self, g: "GroupWord") -> "GroupWord":

@@ -3,12 +3,14 @@ import json
 import os
 import random
 from collections import deque
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from megs import chains
 from megs.chains import (
     ChainError,
     ChainStore,
@@ -21,9 +23,11 @@ from megs.chains import (
     chain_digest,
     close_chain,
     embed_pivots,
+    level_kernel_chain,
     quotient,
     section_chain,
 )
+from megs.checks import SUITE_DATA
 from megs.cli import main
 from megs.datum import NumericalDatum, generator_portraits
 from megs.fp import rank_mod, row_echelon
@@ -366,6 +370,10 @@ def seed_sets(draw):
 
 
 _Q3 = quotient(GS, 3)
+_SHORT_IF_FORWARD = [
+    [0, 1, 1, 0, 0, 2, 0, 2, 0, 1, 1, 0, 1, 2, 1, 2, 2, 1, 1, 2, 0, 0, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 0, 1, 2, 2, 0, 1, 1, 0],
+    [0, 0, 0, 0, 2, 0, 2, 2, 1, 2, 1, 1, 0, 1, 0, 0, 0, 2, 0, 2, 2, 0, 1, 2, 1, 2, 1, 2, 1, 1, 0, 1, 1, 0, 0, 1, 2, 0, 0, 1],
+]
 
 
 @given(case=seed_sets())
@@ -375,10 +383,18 @@ _Q3 = quotient(GS, 3)
 @example(case=(3, 3, list(_Q3.gen_list), []))
 @example(case=(3, 3, [commutator(*_Q3.gen_list)] * 5, list(_Q3.gen_list)))
 @example(case=(3, 3, [commutator(*_Q3.gen_list)], list(_Q3.gen_list)))
+# A chain whose section at (3,) comes out one pivot short when the pivots'
+# sections are absorbed in level order instead of in reverse.
+@example(case=(3, 4, [Portrait(3, 4, labels) for labels in _SHORT_IF_FORWARD], []))
 def test_closure_matches_the_sequential_reference_on_random_seeds(case):
     p, depth, seeds, conjugators = case
     got = close_chain(p, depth, seeds, conjugators=tuple(conjugators))
     _assert_same_closure(got, reference_close(p, depth, seeds, conjugators))
+    # The level-1 kernel's sections are read off its pivots; the chain's own
+    # may need the closure, when a pivot moves the vertex.
+    for chain in (level_kernel_chain(got, 1), got):
+        for vertex in _vertices(p, 1):
+            _assert_same_group(section_chain(chain, vertex), reference_section(chain, vertex))
 
 
 @pytest.mark.parametrize("p, k", [(3, 40), (5, 2047), (7, 910), (7, 1000)])
@@ -508,9 +524,30 @@ def _rep_moves_upper_level_and_digest(data):
     data["sha256"] = _digest_of(data)
 
 
+def _fourth_item_in_a_pivot(data):
+    data["levels"][1][0].append(0)
+
+
+def _generator_label_out_of_range(data):
+    data["gens"][0][0] = data["p"]
+
+
+def _column_out_of_range_and_digest(data):
+    data["levels"][1][0][0] = len(data["levels"][1][0][1])
+    data["sha256"] = _digest_of(data)
+
+
 @pytest.mark.parametrize(
     "edit",
-    [_pop_last_pivot, _old_format, _edit_row_and_digest, _rep_moves_upper_level_and_digest],
+    [
+        _pop_last_pivot,
+        _old_format,
+        _edit_row_and_digest,
+        _rep_moves_upper_level_and_digest,
+        _fourth_item_in_a_pivot,
+        _generator_label_out_of_range,
+        _column_out_of_range_and_digest,
+    ],
 )
 def test_chain_store_rebuilds_edited_entries(tmp_path, edit):
     chain = quotient(GS, 3, store=ChainStore(cache_dir=str(tmp_path))).full()
@@ -550,3 +587,120 @@ def test_degree_guard():
         quotient(GS, 3, degree_guard=9)
     q = quotient(GS, 2, degree_guard=9)
     assert q.order() == 27
+
+
+# -- sections and block products read off the pivots ------------------------------
+
+
+def reference_section(chain, vertex):
+    """Sections at `vertex` of its stabilizer, closed from the Schreier generators."""
+    p, depth = chain.p, chain.depth
+    pivots = chain.pivots()
+    orbit = {vertex: Portrait.identity(p, depth)}
+    frontier = deque([vertex])
+    while frontier:
+        v = frontier.popleft()
+        for g in pivots:
+            w = g.act(v)
+            if w not in orbit:
+                orbit[w] = orbit[v] * g
+                frontier.append(w)
+    seeds = [(t * g * ~orbit[g.act(v)]).section(vertex) for v, t in orbit.items() for g in pivots]
+    return close_chain(p, depth - len(vertex), seeds)
+
+
+def _assert_same_group(got, want):
+    assert got.dims() == want.dims()
+    assert got.contains_chain(want)[0] and want.contains_chain(got)[0]
+
+
+def _vertices(p, k):
+    return [tuple(v) for v in iter_product(range(1, p + 1), repeat=k)]
+
+
+def _fixing(elements, k):
+    """The elements that fix every vertex of length k."""
+    return [g for g in elements if all(g.fixes(v) for v in _vertices(g.p, k))]
+
+
+@pytest.mark.parametrize(
+    "text, level",
+    [("p = 3; E1 = (1, 2)", 2), ("p = 3; E1 = (1, 2)", 3), ("p = 3; E1 = (2, 2)", 2),
+     ("p = 3; E1 = (2, 2)", 3), ("p = 5; E1 = (1, 2, 0, 0)", 2)],
+)
+def test_stabilizer_sections_match_brute_force(text, level):
+    datum = NumericalDatum.from_text(text)
+    p = datum.p
+    q = quotient(datum, level)
+    gens = q.gen_list
+    elements = brute_closure(p, level, list(gens))
+    comms = [commutator(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    derived = brute_closure(p, level, comms, conjugators=list(gens))
+    assert q.derived().order() == len(derived)
+    cases = [(q.kernel(1), _fixing(elements, 1), 1), (q.derived(), derived, 1)]
+    if level > 2:
+        cases.append((q.kernel(2), _fixing(elements, 2), 2))
+    for chain, group, k in cases:
+        assert chain.order() == len(group)
+        for vertex in _vertices(p, k):
+            sections = {g.section(vertex) for g in group}
+            got = section_chain(chain, vertex)
+            assert got.order() == len(sections)
+            assert all(got.contains(s) for s in sections)
+
+
+@pytest.mark.parametrize("text", [text for _, text in SUITE_DATA])
+def test_stabilizer_sections_match_the_closed_reference_on_the_suite_data(text):
+    datum = NumericalDatum.from_text(text)
+    q = quotient(datum, 4)
+    for chain, k in ((q.kernel(1), 1), (q.derived(), 1), (q.gamma3(), 1), (q.kernel(2), 2)):
+        for vertex in _vertices(datum.p, k):
+            _assert_same_group(section_chain(chain, vertex), reference_section(chain, vertex))
+
+
+@pytest.mark.parametrize(
+    "text, depths",
+    [("p = 3; E1 = (1, 2)", (2, 3, 4)), ("p = 3; E1 = (2, 2)", (2, 3, 4)), ("p = 5; E1 = (1, 2, 0, 0)", (2, 3))],
+)
+def test_block_product_matches_the_closure_of_its_copies(text, depths):
+    datum = NumericalDatum.from_text(text)
+    p = datum.p
+    for depth in depths:
+        for k in range(1, depth):
+            small = quotient(datum, depth - k)
+            for sub in (small.full(), small.derived(), small.gamma3()):
+                seeds = [g for v in _vertices(p, k) for g in embed_pivots(p, depth, v, sub)]
+                got = block_product_chain(p, depth, k, sub)
+                assert got.order() == sub.order() ** (p**k)
+                _assert_same_group(got, close_chain(p, depth, seeds))
+
+
+def test_level_kernels_are_views_of_the_full_chain_and_never_stored(tmp_path):
+    store = ChainStore(cache_dir=str(tmp_path))
+    q = quotient(GS, 4, store=store)
+    kernel = q.kernel(2)
+    full_path = store._path(GS, 4, "full")
+    assert [str(path) for path in tmp_path.iterdir()] == [full_path]
+    assert kernel.dims() == (0, 0) + q.full().dims()[2:]
+    assert kernel.pivots() == q.full().pivots()[3:]
+
+
+def test_a_kernel_file_from_an_older_cache_is_never_read(tmp_path, monkeypatch):
+    # An older cache kept `kernel:k` chains; plant the full chain's file
+    # under the kernel's name, so reading it would give the wrong group.
+    store = ChainStore(cache_dir=str(tmp_path))
+    full = quotient(GS, 4, store=store).full()
+    stale = store._path(GS, 4, "kernel:2")
+    _write_atomic(stale, _chain_to_dict(full))
+    before = os.stat(stale).st_mtime_ns
+    opened = []
+
+    def spy(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(chains, "open", spy, raising=False)
+    kernel = quotient(GS, 4, store=ChainStore(cache_dir=str(tmp_path))).kernel(2)
+    assert kernel.dims() == (0, 0) + full.dims()[2:]
+    assert opened == [store._path(GS, 4, "full")]
+    assert os.stat(stale).st_mtime_ns == before

@@ -1,4 +1,8 @@
 import json
+import time
+from pathlib import Path
+
+import pytest
 
 from megs.chains import ChainError, SubgroupChain
 from megs.cli import main
@@ -167,3 +171,39 @@ def test_chain_error_exits_three_without_a_traceback(monkeypatch, capsys):
     assert code == 3
     assert captured.err == "error: residual reduced at all levels but is not the identity\n"
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("level", ["1000000", "100000000"])
+def test_degree_guard_needs_no_power_of_the_level(level, capsys):
+    start = time.perf_counter()
+    code = main(["quotient", "--datum", GS, "--level", level])
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"guard exceeded: degree 3^{level} exceeds the guard 20000\n"
+
+
+def test_degree_guard_reports_a_small_degree_in_full(capsys):
+    assert main(["quotient", "--datum", GS, "--level", "5", "--modulus-guard", "100"]) == 2
+    assert capsys.readouterr().err == "guard exceeded: degree 243 exceeds the guard 100\n"
+
+
+def test_a_huge_word_power_exits_two(capsys):
+    start = time.perf_counter()
+    code = main(["order", "--datum", GS, "(a b[1])^1000000000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert capsys.readouterr().err.startswith("guard exceeded: ")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_cold_suite_matches_the_golden_output(tmp_path, capsys):
+    # The stdout and JSON report of `megs suite --seed 20260817`, kept from
+    # before the engine changed; every change to it must keep them.
+    report = tmp_path / "suite.json"
+    args = ["suite", "--seed", "20260817", "--cache-dir", str(tmp_path / "cache"), "--json-report", str(report)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / "suite-seed-20260817.out").read_text()
+    assert report.read_bytes() == (GOLDEN / "suite-seed-20260817.json").read_bytes()

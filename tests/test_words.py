@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -206,3 +207,25 @@ def test_branch_element_nested():
     img = evaluate_branch(outer, GS, 4)
     assert img.section((2,)) == evaluate_branch(inner, GS, 3)
     assert img.section((1,)).is_identity()
+
+
+def test_powers_by_squaring_match_repeated_products():
+    rng = random.Random(5)
+    for datum in (GS, PAIR, CONST):
+        for _ in range(10):
+            w = random_word(rng, datum, rng.randint(1, 6))
+            product = GroupWord.identity(datum.p)
+            for e in range(13):
+                assert w**e == product
+                assert w ** (-e) == ~product
+                product = product * w
+
+
+def test_large_powers_finish_or_trip_the_syllable_guard():
+    start = time.perf_counter()
+    assert parse_word("b[1]^1000000", GS) == parse_word("b[1]", GS)
+    with pytest.raises(GuardExceeded, match="syllable guard"):
+        parse_word("(a b[1])^1000000000000", GS)
+    assert time.perf_counter() - start < 1
+    # Just inside the guard the power is still built.
+    assert (parse_word("a b[1]", GS) ** words.MAX_SYLLABLES).syllable_length == words.MAX_SYLLABLES
