@@ -9,15 +9,19 @@ level by level: the reduction coefficients at a level come from one linear
 solve, above the deepest level each element is then multiplied by the
 representatives' inverse powers, and at the deepest level, which is
 elementary abelian, only the labels are reduced. Membership and exact orders
-(p to the sum of the level dimensions) follow.
+(p to the sum of the level dimensions) follow. The same level pass inserts:
+the elements that fail at a level are eliminated against each other in
+order, each one left with labels becoming a pivot, which gives the pivots of
+inserting the elements one at a time.
 
 Chains are built in two steps. A worklist closure lifts the levels above the
 deepest: inserting a pivot there enqueues its p-th power, its commutators
 with the other pivots above the deepest level, and, for normal closures, its
-conjugates by the designated conjugating elements. The deepest level is then
-spun: its rows form an F_p-subspace that conjugation permutes, so it is
-closed under a few label permutations instead of by sifting commutators.
-Both steps run in a fixed order, so construction is deterministic.
+conjugates by the designated conjugating elements; the worklist is built and
+taken in a batch at a time. The deepest level is then spun: its rows form an
+F_p-subspace that conjugation permutes, so it is closed under a few label
+permutations instead of by sifting commutators. Both steps run in a fixed
+order, so construction is deterministic.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .datum import NumericalDatum, generator_portraits
 from .fp import row_echelon
-from .portraits import Portrait, commutator, identity_perm, level_offsets, perm_labels, vertex_position
+from .portraits import Portrait, identity_perm, level_offsets, perm_labels, vertex_position
 
 
 class ChainError(RuntimeError):
@@ -51,26 +55,32 @@ class _LevelSolve:
     c_j = v[col_j] - sum_{i<j} c_i * row_i[col_j], so c = v[cols] @ T, where
     T is the inverse mod p of the unit upper-triangular matrix
     U[i, j] = row_i[col_j] (i < j), and the reduced labels are
-    v - v[cols] @ E. Both are int16, in arrays that double.
+    v - v[cols] @ E. Both are int16, in arrays that double. Above the
+    deepest level, `unpow[j]` stacks the leaf permutations of
+    rep_j^-1, ..., rep_j^-(p-1), so the rows with c_i > 0 are composed
+    with rep_j^-c_i by one gather through `unpow[j][c - 1]`.
     """
 
-    __slots__ = ("level", "k", "cols", "tinv", "ech", "views")
+    __slots__ = ("level", "k", "cols", "tinv", "ech", "unpow", "views")
 
-    def __init__(self, level: list, width: int):
+    def __init__(self, level: list, width: int, upper: bool):
         cap = min(8, width)  # a level holds at most `width` independent rows
         self.level = level
         self.k = 0
         self.cols = np.empty(cap, np.intp)
         self.tinv = np.zeros((cap, cap), np.int16)
         self.ech = np.empty((cap, width), np.int16)
-        self.views = (self.cols[:0], self.tinv[:0, :0], self.ech[:0])
+        self.unpow = [] if upper else None
+        self.views = (self.cols[:0], self.tinv[:0, :0], self.ech[:0], self.unpow)
 
     def extend(self, p: int) -> None:
         """Take in the m pivots appended to the level since the last call.
 
         With U = [[U_old, U_on], [0, U_new]], T gains the block column
         [X; T_new] with T_new = U_new^-1 and X = -E_old[:, new cols] @ T_new,
-        and E becomes [E_old + X @ rows_new; T_new @ rows_new].
+        and E becomes [E_old + X @ rows_new; T_new @ rows_new]. U_new is
+        I + N with N nilpotent, so T_new = (I - N)(I + N^2)(I + N^4)...,
+        up to the first power of N that is zero.
         """
         lv, k = self.level, self.k
         new = lv[k:]
@@ -84,10 +94,13 @@ class _LevelSolve:
             ech = np.concatenate([ech[:k], np.empty((cap - k, ech.shape[1]), np.int16)])
         new_cols = [col for col, _, _ in new]
         new_rows = np.array([row for _, row, _ in new], dtype=np.int64)
-        t_new = np.eye(m, dtype=np.int64)
-        u_new = new_rows[:, new_cols]
-        for b in range(1, m):
-            t_new[:b, b] = -_residue_matmul(t_new[:b, :b], u_new[:b, b : b + 1], p)[:, 0] % p
+        eye = np.eye(m, dtype=np.int64)
+        nil = np.triu(new_rows[:, new_cols], 1)
+        t_new, span = (eye - nil) % p, 2
+        while span < m:
+            nil = _residue_matmul(nil, nil, p) % p
+            t_new = _residue_matmul(t_new, eye + nil, p) % p
+            span *= 2
         if k:
             x = -_residue_matmul(ech[:k, new_cols], t_new, p) % p
             ech[:k] = (ech[:k] + _residue_matmul(x, new_rows, p)) % p
@@ -95,9 +108,11 @@ class _LevelSolve:
         ech[k : k + m] = _residue_matmul(t_new, new_rows, p) % p
         tinv[k : k + m, k : k + m] = t_new
         cols[k : k + m] = new_cols
+        if self.unpow is not None:
+            self.unpow.extend(_inverse_powers(rep.perm, p) for _, _, rep in new)
         k += m
         self.k, self.cols, self.tinv, self.ech = k, cols, tinv, ech
-        self.views = (cols[:k], tinv[:k, :k], ech[:k])
+        self.views = (cols[:k], tinv[:k, :k], ech[:k], self.unpow)
 
 
 class SubgroupChain:
@@ -134,11 +149,12 @@ class SubgroupChain:
 
     # -- membership -----------------------------------------------------------
 
-    def _level_state(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pivot columns, T and E of level d (see `_LevelSolve`), up to date."""
+    def _level_state(self, d: int) -> tuple:
+        """Pivot columns, T, E and the inverse powers of level d (see
+        `_LevelSolve`), up to date."""
         lv, st = self.levels[d], self._solve[d]
         if st is None or st.level is not lv or st.k > len(lv):
-            st = self._solve[d] = _LevelSolve(lv, self.p**d)
+            st = self._solve[d] = _LevelSolve(lv, self.p**d, d < self.depth - 1)
         if st.k < len(lv):
             st.extend(self.p)
         return st.views
@@ -147,20 +163,43 @@ class SubgroupChain:
         """Sift a stack of leaf permutations (B x p^n) level by level.
 
         Returns each row's failing level (-1 for a member) and its residual
-        permutation (the identity for a member). Above the deepest level a
-        row is composed with rep_j^-c_j in pivot order, one gather per
-        (pivot, c) through the pivot's inverse. The deepest level of St(n-1)
-        is elementary abelian and a representative there is the portrait of
-        its row, so it is reduced on labels alone.
+        permutation (the identity for a member); see `_level_pass`.
+        """
+        fail, out, _ = self._level_pass(perms)
+        return fail, out
+
+    def _level_pass(self, perms: np.ndarray, insert: bool = False):
+        """Reduce a stack of leaf permutations (B x p^n) one level at a time.
+
+        At each level the rows are reduced by the level's pivots: the
+        coefficients come from one linear solve, and above the deepest level
+        the rows are composed with rep_j^-c_j in pivot order, one gather per
+        pivot of the rows it moves. The deepest level of St(n-1) is
+        elementary abelian and a representative there is the portrait of
+        its row, so it is reduced on labels alone, and a failing row's
+        residual is the portrait of its reduced labels. A row left with
+        labels fails at the level and goes no deeper.
+
+        With `insert`, the rows failing at a level are then eliminated
+        against each other in row order (`_eliminate`): each that is still
+        left with labels becomes a pivot, and those reduced to nothing go on
+        to the next level. A pivot appended at level d changes the reduction
+        of no row at any other level, so these are the pivots of sifting and
+        inserting the rows one at a time.
+
+        Returns each row's failing level, its residual, and the pivots made,
+        as (row, level, representative) in row order.
         """
         p, depth = self.p, self.depth
         offs = level_offsets(p, depth)
         work = np.array(perms, dtype=np.int32, ndmin=2)
+        if work.ndim != 2 or work.shape[1] != p**depth:
+            raise ChainError(f"a stack of shape {work.shape} is not of permutations of {p}^{depth} leaves")
         labels = perm_labels(p, depth, work)
         out = np.empty_like(work)
         fail = np.full(len(work), -1, dtype=np.intp)
         rows = np.arange(len(work))  # the input row of each row of `work`
-        ident = identity_perm(p, depth)
+        made: list[tuple[int, int, Portrait]] = []
         for d in range(depth):
             if not len(work):
                 break
@@ -170,45 +209,85 @@ class SubgroupChain:
             v = labels[:, offs[d] : offs[d + 1]]
             if not v.any():
                 continue
-            cols, tinv, ech = self._level_state(d)
+            cols, tinv, ech, unpow = self._level_state(d)
+            moved = False
             if cols.size:
                 head = v[:, cols]
                 v = (v - _residue_matmul(head, ech, p)) % p
                 if not last:
                     c = _residue_matmul(head, tinv, p) % p
-                    moved = np.flatnonzero(c.any(axis=0))
-                    for j in moved:
-                        rep = self.levels[d][j][2].perm
-                        inv = np.empty_like(rep)
-                        inv[rep] = ident
-                        power = inv
-                        for e in range(1, int(c[:, j].max()) + 1):
-                            if e > 1:
-                                power = power[inv]
-                            sel = np.flatnonzero(c[:, j] == e)
-                            if sel.size:
-                                work[sel] = work[sel][:, power]
-                    if moved.size:
-                        labels = perm_labels(p, depth, work)
+                    for j in np.flatnonzero(c.any(axis=0)):
+                        sel = np.flatnonzero(c[:, j])
+                        work[sel] = _mul(unpow[j][c[sel, j] - 1], work[sel])
+                        moved = True
             failed = v.any(axis=1)
             if not failed.any():
+                if moved:
+                    labels = perm_labels(p, depth, work)
                 continue
-            gone = rows[failed]
-            fail[gone] = d
-            kept = ~failed
             if last:
                 # The residual in St(n-1) whose only labels are the reduced ones.
                 firsts, shifts = _deepest_rotations(p, depth)
-                out[gone] = (firsts + shifts[v[failed]]).reshape(len(gone), -1)
-                rows = rows[kept]
-            else:
-                out[gone] = work[failed]
-                work, rows, labels = work[kept], rows[kept], labels[kept]
-        out[rows] = ident
-        return fail, out
+                work[failed] = (firsts + shifts[v[failed]]).reshape(int(failed.sum()), -1)
+            if insert:
+                pivots = self._eliminate(d, work, v, failed)
+                made.extend((int(rows[i]), d, rep) for i, rep in pivots)
+                moved = moved or len(pivots) < failed.sum()
+                failed = np.zeros_like(failed)
+                failed[[i for i, _ in pivots]] = True
+            gone = rows[failed]
+            fail[gone] = d
+            out[gone] = work[failed]
+            kept = ~failed
+            work, rows = work[kept], rows[kept]
+            labels = perm_labels(p, depth, work) if moved and not last else labels[kept]
+        out[rows] = identity_perm(p, depth)
+        made.sort(key=lambda item: item[0])
+        return fail, out, made
+
+    def _eliminate(self, d: int, work: np.ndarray, v: np.ndarray, failed: np.ndarray):
+        """Insert the rows failing at level d as pivots, eliminating in row order.
+
+        `v` holds every row's level-d labels, reduced by the level's earlier
+        pivots, and `work` the residuals. The first failing row becomes a
+        pivot; the later ones are reduced by it, on their labels and, above
+        the deepest level, by composing with its inverse powers; the first
+        one still left with labels is next. Returns the (position,
+        representative) pair of each row made a pivot.
+        """
+        p, depth = self.p, self.depth
+        last = d == depth - 1
+        firsts, shifts = _deepest_rotations(p, depth)
+        idx = np.flatnonzero(failed)
+        v = v[idx].astype(np.int64)
+        pivots = []
+        while idx.size:
+            i = idx[0]
+            if last:  # its labels may have changed since the pass set its residual
+                work[i] = (firsts + shifts[v[0]]).reshape(-1)
+            rep = self._insert(Portrait._from_perm(p, depth, work[i].copy()), d)
+            pivots.append((i, rep))
+            col, row, _ = self.levels[d][-1]
+            idx, v = idx[1:], v[1:]
+            c = v[:, col].copy()
+            if c.any():
+                v -= np.multiply.outer(c, row)
+                v %= p
+                if not last:
+                    sel = np.flatnonzero(c)
+                    work[idx[sel]] = _mul(_inverse_powers(rep.perm, p)[c[sel] - 1], work[idx[sel]])
+                left = v.any(axis=1)
+                if not left.all():
+                    idx, v = idx[left], v[left]
+        return pivots
+
+    def _require_fit(self, what: str, p: int, depth: int) -> None:
+        if (p, depth) != (self.p, self.depth):
+            raise ChainError(f"{what} with p={p}, depth {depth} does not fit p={self.p}, depth {self.depth}")
 
     def sift(self, g: Portrait) -> tuple[int | None, Portrait]:
         """Reduce g level by level. Returns (failing level or None, residual)."""
+        self._require_fit("a portrait", g.p, g.depth)
         fail, perms = self.sift_batch(g.perm)
         d = int(fail[0])
         return (None if d < 0 else d), Portrait._from_perm(self.p, self.depth, perms[0])
@@ -218,10 +297,11 @@ class SubgroupChain:
 
     def contains_chain(self, other: "SubgroupChain") -> tuple[bool, Portrait | None]:
         """Whether every pivot of `other` sifts into this chain."""
+        self._require_fit("a chain", other.p, other.depth)
         pivots = other.pivots()
         if not pivots:
             return True, None
-        fail, _ = self.sift_batch(np.stack([piv.perm for piv in pivots]))
+        fail, _ = self.sift_batch(np.array([piv.perm for piv in pivots]))
         bad = np.flatnonzero(fail >= 0)
         return (True, None) if not bad.size else (False, pivots[bad[0]])
 
@@ -230,7 +310,7 @@ class SubgroupChain:
         v = residual.level_labels(d).astype(np.int64) % p
         col = int(np.flatnonzero(v)[0])
         s = pow(int(v[col]), -1, p)
-        rep = residual ** s
+        rep = residual ** s if s > 1 else residual
         row = (v * s) % p
         self.levels[d].append((col, row, rep))
         return rep
@@ -258,6 +338,29 @@ def _residue_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("ij,jk->ik", a.astype(wide, copy=False), b.astype(wide, copy=False))
 
 
+def _inverse_powers(perm: np.ndarray, p: int) -> np.ndarray:
+    """The leaf permutations of g^-1, ..., g^-(p-1), one row each."""
+    out = np.empty((p - 1, len(perm)), dtype=perm.dtype)
+    out[0][perm] = np.arange(len(perm))
+    for e in range(1, p - 1):
+        out[e] = out[e - 1][out[0]]
+    return out
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise product x * y of two stacks of leaf permutations, x applied first.
+
+    Row i is y[i][x[i]], gathered from the flattened stack in one call.
+    """
+    return np.take(y, _flat(x))
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """Row i of a stack of leaf permutations, shifted to index row i of the flattened stack."""
+    rows, n = x.shape
+    return x + np.arange(0, rows * n, n)[:, None]
+
+
 @lru_cache(maxsize=None)
 def _deepest_rotations(p: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Pieces of the leaf permutations of portraits with only deepest labels.
@@ -272,7 +375,7 @@ def _deepest_rotations(p: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     return firsts, shifts
 
 
-BATCH = 16
+BATCH = 64
 
 
 def close_chain(
@@ -284,11 +387,15 @@ def close_chain(
     """Chain of the subgroup generated by the seeds, closed under the conjugators.
 
     Lift: a worklist of recipes, not elements: ("seed", g), ("pow", rep),
-    ("comm", rep, other) and ("conj", left, rep, right) for left * rep * right.
-    Up to BATCH recipes are built and absorbed together (`_absorb`), so
-    pivots arrive in the order a one-at-a-time closure finds them, and each
-    pivot enqueues its recipes as it is inserted. A pivot of the deepest
-    level enqueues nothing and is no other pivot's partner.
+    ("comm", rep, other) and ("conj", left, rep, right) for left * rep * right,
+    each operand a leaf permutation. Up to BATCH recipes are built as one
+    stack (`_build`) and absorbed in one level pass, which finds the pivots
+    that sifting and inserting them one at a time would, in row order. Each
+    pivot then enqueues its recipes as it would have on insertion: its
+    commutators are taken with the prefix of each level that existed then.
+    Every recipe a batch enqueues goes behind every recipe in the queue, so
+    the pivots do not depend on BATCH. A pivot of the deepest level enqueues
+    nothing and is no other pivot's partner.
 
     Spin: `_spin` then closes the deepest level under conjugation by the
     seeds or the pivots above that level, whichever are fewer, and by the
@@ -304,20 +411,23 @@ def close_chain(
     seeds = list(seeds)
     chain = SubgroupChain(p, depth, gens=tuple(seeds))
     last = depth - 1
-    conj_pairs = [(~c, c) for c in conjugators]
-    queue = deque(("seed", g) for g in seeds)
+    conj_pairs = [((~c).perm, c.perm) for c in conjugators]
+    queue = deque(("seed", g.perm) for g in seeds)
     while queue:
-        batch = [_build(queue.popleft(), p) for _ in range(min(BATCH, len(queue)))]
-        for rep, d in _absorb(chain, np.stack([g.perm for g in batch])):
-            if d == last:
-                continue
-            queue.append(("pow", rep))
-            for e, lv in enumerate(chain.levels[:last]):
-                if max(d, e) + (d == e) < depth:
-                    queue.extend(("comm", rep, other) for _, _, other in lv if other is not rep)
-            for c_inv, c in conj_pairs:
-                queue.append(("conj", c_inv, rep, c))
-                queue.append(("conj", c, rep, c_inv))
+        batch = [queue.popleft() for _ in range(min(BATCH, len(queue)))]
+        seen = [len(lv) for lv in chain.levels]
+        _, _, made = chain._level_pass(_build(batch, p), insert=True)
+        for _, d, rep in made:
+            if d < last:
+                x = rep.perm
+                queue.append(("pow", x))
+                for e, lv in enumerate(chain.levels[:last]):
+                    if max(d, e) + (d == e) < depth:
+                        queue.extend(("comm", x, other.perm) for _, _, other in lv[: seen[e]])
+                for c_inv, c in conj_pairs:
+                    queue.append(("conj", c_inv, x, c))
+                    queue.append(("conj", c, x, c_inv))
+            seen[d] += 1
     upper = [rep for lv in chain.levels[:last] for _, _, rep in lv]
     _spin(chain, (seeds if len(seeds) <= len(upper) else upper) + list(conjugators))
     # A finished chain keeps no sift state; a later sift rebuilds it at size.
@@ -325,32 +435,35 @@ def close_chain(
     return chain
 
 
-def _absorb(chain: SubgroupChain, perms: np.ndarray):
-    """Sift a stack of leaf permutations into the chain, row by row in order.
+def _build(recipes: list[tuple], p: int) -> np.ndarray:
+    """The leaf permutations close_chain's recipes stand for, one row each.
 
-    Yields (representative, level) for each pivot right after inserting it.
-    All rows are sifted together and the first failure is inserted. A pivot
-    appended to level d leaves the reduction of every row as it was except
-    at level d, where the others' reduced rows are zero in its column. So
-    members are dropped and only the failures at level d are sifted again,
-    from their residuals: the pivots are those of inserting the rows one at
-    a time.
+    Recipes of one kind are built together, from stacks of their operands:
+    a product x * y is the gather y[x] of each row. A commutator
+    c = (y x)^-1 (x y), as `commutator` computes it, is the scatter
+    c[(y x)[u]] = (x y)[u].
     """
-    p, depth = chain.p, chain.depth
-    fail, perms = chain.sift_batch(perms)
-    fail = fail.tolist()
-    pending = [i for i, level in enumerate(fail) if level >= 0]
-    while pending:
-        first = pending.pop(0)
-        d = fail[first]
-        rep = chain._insert(Portrait._from_perm(p, depth, perms[first].copy()), d)
-        again = [i for i in pending if fail[i] == d]
-        if again:
-            redo, perms[again] = chain.sift_batch(perms[again])
-            for i, level in zip(again, redo.tolist()):
-                fail[i] = level
-            pending = [i for i in pending if fail[i] >= 0]
-        yield rep, d
+    out = np.empty((len(recipes), len(recipes[0][1])), dtype=np.int32)
+    kinds: dict[str, list[int]] = {}
+    for i, item in enumerate(recipes):
+        kinds.setdefault(item[0], []).append(i)
+    for kind, idx in kinds.items():
+        args = [np.array(arg) for arg in zip(*(recipes[i][1:] for i in idx))]
+        if kind == "pow":
+            x = power = args[0]
+            for _ in range(p - 1):
+                power = _mul(power, x)
+            out[idx] = power
+        elif kind == "comm":
+            x, y = args
+            comm = np.empty_like(x)
+            comm.ravel()[_flat(_mul(y, x))] = _mul(x, y)
+            out[idx] = comm
+        elif kind == "conj":
+            out[idx] = _mul(_mul(args[0], args[1]), args[2])
+        else:
+            out[idx] = args[0]
+    return out
 
 
 def _image_chain(p: int, depth: int, images: np.ndarray) -> SubgroupChain:
@@ -364,11 +477,11 @@ def _image_chain(p: int, depth: int, images: np.ndarray) -> SubgroupChain:
     psi(H_{i+1}) is normal of index 1 or p in psi(H_i) = <psi(g_i),
     psi(H_{i+1})>, and a complete chain of psi(H_{i+1}) becomes one of
     psi(H_i) by sifting psi(g_i) and inserting its residual when it fails.
-    Absorbing psi(g_m), ..., psi(g_1) in that order therefore closes nothing.
+    One inserting level pass over psi(g_m), ..., psi(g_1), in that order,
+    therefore closes nothing.
     """
     chain = SubgroupChain(p, depth, gens=tuple(Portrait._from_perm(p, depth, g) for g in images))
-    for _ in _absorb(chain, images[::-1]):
-        pass
+    chain._level_pass(images[::-1], insert=True)
     chain._solve = [None] * depth
     return chain
 
@@ -378,7 +491,7 @@ def _pivot_stack(chain: SubgroupChain) -> np.ndarray:
     pivots = chain.pivots()
     if not pivots:
         return np.empty((0, chain.p**chain.depth), dtype=np.int32)
-    return np.stack([rep.perm for rep in pivots])
+    return np.array([rep.perm for rep in pivots])
 
 
 def _spin(chain: SubgroupChain, actors) -> None:
@@ -411,7 +524,7 @@ def _spin(chain: SubgroupChain, actors) -> None:
         fresh = np.array([row for _, row, _ in lv[done:]], dtype=np.int16)
         done = len(lv)
         for sigma in sigmas.values():
-            cols, _, ech = chain._level_state(depth - 1)
+            cols, _, ech, _ = chain._level_state(depth - 1)
             v = fresh[:, sigma]
             v = (v - _residue_matmul(v[:, cols], ech, p)) % p
             v = v[v.any(axis=1)]
@@ -421,18 +534,6 @@ def _spin(chain: SubgroupChain, actors) -> None:
             for col, row in zip(new_cols, rows):
                 perm = (firsts + shifts[row]).reshape(-1)
                 lv.append((col, row, Portrait._from_perm(p, depth, perm)))
-
-
-def _build(item: tuple, p: int) -> Portrait:
-    """The element a worklist recipe of close_chain stands for."""
-    kind = item[0]
-    if kind == "pow":
-        return item[1] ** p
-    if kind == "comm":
-        return commutator(item[1], item[2])
-    if kind == "conj":
-        return item[1] * item[2] * item[3]
-    return item[1]
 
 
 def level_kernel_chain(chain: SubgroupChain, k: int) -> SubgroupChain:
@@ -725,7 +826,7 @@ class FiniteQuotient:
             return derived_chain(p, n, self.gen_list)
         if descriptor == "gamma3":
             d = self.chain("derived")
-            seeds = [commutator(x, g) for x in d.pivots() for g in self.gen_list]
+            seeds = _commutators(p, n, [(x, g) for x in d.pivots() for g in self.gen_list])
             return close_chain(p, n, seeds, conjugators=self.gen_list)
         if descriptor == "second-derived":
             d = self.chain("derived")
@@ -738,7 +839,7 @@ class FiniteQuotient:
             k = int(descriptor.split(":", 1)[1])
             h = self.chain(f"kernel:{k}")
             hd = self.chain(f"kernel-derived:{k}")
-            seeds = [commutator(x, g) for x in hd.pivots() for g in h.pivots()]
+            seeds = _commutators(p, n, [(x, g) for x in hd.pivots() for g in h.pivots()])
             return close_chain(p, n, seeds, conjugators=tuple(h.pivots()))
         raise ChainError(f"unknown chain descriptor {descriptor!r}")
 
@@ -769,12 +870,18 @@ class FiniteQuotient:
 
 def derived_chain(p: int, depth: int, gens: tuple[Portrait, ...]) -> SubgroupChain:
     """Chain of the derived subgroup of the group the given elements generate."""
-    seeds = [
-        commutator(gens[i], gens[j])
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-    ]
+    pairs = [(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    seeds = _commutators(p, depth, pairs)
     return close_chain(p, depth, seeds, conjugators=gens)
+
+
+def _commutators(p: int, depth: int, pairs: list[tuple[Portrait, Portrait]]) -> list[Portrait]:
+    """commutator(x, y) for each pair, built BATCH pairs to a stack."""
+    out = []
+    for i in range(0, len(pairs), BATCH):
+        stack = _build([("comm", x.perm, y.perm) for x, y in pairs[i : i + BATCH]], p)
+        out.extend(Portrait._from_perm(p, depth, perm) for perm in stack)
+    return out
 
 
 def quotient(

@@ -153,26 +153,22 @@ PINNED = [
 ]
 
 
+PINNED_DIGESTS = [
+    "7b0ad9fea75ea185",
+    "316be755978a437e",
+    "d60b5ca410922010",
+    "7fbb1036c8562236",
+    "457cd49e5a2d5030",
+    "a75f199161121531",
+    "b82a44b68e32a633",
+    "22c187a47396ac28",
+    "a247288fe7b67ba8",
+    "2fbf934cf5c9682a",
+]
+
+
 @pytest.mark.parametrize(
-    "text, level, descriptor, digest",
-    [
-        (*case, digest)
-        for case, digest in zip(
-            PINNED,
-            [
-                "7b0ad9fea75ea185",
-                "316be755978a437e",
-                "d60b5ca410922010",
-                "7fbb1036c8562236",
-                "457cd49e5a2d5030",
-                "a75f199161121531",
-                "b82a44b68e32a633",
-                "22c187a47396ac28",
-                "a247288fe7b67ba8",
-                "2fbf934cf5c9682a",
-            ],
-        )
-    ],
+    "text, level, descriptor, digest", [(*case, digest) for case, digest in zip(PINNED, PINNED_DIGESTS)]
 )
 def test_pivot_order_is_pinned(text, level, descriptor, digest):
     # The digest covers every pivot's labels in insertion order, which
@@ -180,6 +176,36 @@ def test_pivot_order_is_pinned(text, level, descriptor, digest):
     # how it finds pivots must leave them where they were.
     chain = quotient(NumericalDatum.from_text(text), level).chain(descriptor)
     assert chain_digest(chain)[:16] == digest
+
+
+@pytest.mark.parametrize("batch", [1, 16, chains.BATCH])
+def test_pivots_do_not_depend_on_the_batch_width(batch, monkeypatch):
+    # Every recipe a batch enqueues goes behind the whole queue, and one level
+    # pass finds the pivots of inserting its rows one at a time.
+    monkeypatch.setattr(chains, "BATCH", batch)
+    for case, digest in zip(PINNED, PINNED_DIGESTS):
+        chain = quotient(NumericalDatum.from_text(case[0]), case[1]).chain(case[2])
+        assert chain_digest(chain)[:16] == digest, case
+
+
+def test_a_closure_makes_one_level_pass_per_batch(monkeypatch):
+    calls = {"pass": 0, "batch": 0}
+    level_pass, build = SubgroupChain._level_pass, chains._build
+
+    def counted_pass(self, perms, insert=False):
+        calls["pass"] += 1
+        return level_pass(self, perms, insert)
+
+    def counted_build(recipes, p):
+        calls["batch"] += 1
+        return build(recipes, p)
+
+    monkeypatch.setattr(SubgroupChain, "_level_pass", counted_pass)
+    monkeypatch.setattr(chains, "_build", counted_build)
+    chain = quotient(S22, 5).full()
+    assert chain.order_exponent() == 64
+    # Re-sifting the rows left after each insertion would make a pass per pivot.
+    assert calls == {"pass": 9, "batch": 9}
 
 
 def upper_and_deepest_span(chain):
@@ -462,6 +488,19 @@ def test_contains_chain_directions():
     assert witness is not None
     assert q.full().contains(witness)
     assert not q.derived().contains(witness)
+
+
+def test_mismatched_shapes_raise_chain_errors():
+    chain = quotient(GS, 3).full()
+    for g in (Portrait.identity(3, 2), Portrait.identity(5, 3)):
+        with pytest.raises(ChainError):
+            chain.contains(g)
+        with pytest.raises(ChainError):
+            chain.sift_batch(np.stack([g.perm, g.perm]))
+    with pytest.raises(ChainError):
+        chain.contains_chain(quotient(GS, 4).full())
+    with pytest.raises(ChainError):
+        chain.contains_chain(SubgroupChain(5, 3))
 
 
 def test_chain_store_disk_round_trip(tmp_path):

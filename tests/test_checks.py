@@ -155,6 +155,12 @@ def test_weak_csp():
     r = run("weak-csp", S22, level=1)
     assert r.verdict == REFUTED and r.expected is None
     assert r.as_predicted
+    # The witness is the first pivot of the block product that the level
+    # kernel's derived chain misses, so it pins the block product's pivot order.
+    for datum in (S22, NumericalDatum.from_text("p = 3; E1 = (1, 1)")):
+        r = run("weak-csp", datum)
+        assert (r.level, r.aux_level) == (1, 3)
+        assert r.certificates["witness"] == "3 3\n0 0 0 0 0 0 0 0 0 0 0 1 2\n"
 
 
 def test_report_text_and_json_shapes():

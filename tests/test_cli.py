@@ -162,10 +162,11 @@ def test_cache_dir_does_not_change_output(tmp_path, capsys):
 
 
 def test_chain_error_exits_three_without_a_traceback(monkeypatch, capsys):
-    def broken(self, perms):
+    def broken(self, perms, insert=False):
         raise ChainError("residual reduced at all levels but is not the identity")
 
-    monkeypatch.setattr(SubgroupChain, "sift_batch", broken)
+    # The closure and every sift go through the one level pass.
+    monkeypatch.setattr(SubgroupChain, "_level_pass", broken)
     code = main(["quotient", "--datum", GS, "--level", "2"])
     captured = capsys.readouterr()
     assert code == 3
