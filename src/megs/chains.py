@@ -37,7 +37,7 @@ import numpy as np
 
 from .datum import NumericalDatum, generator_portraits
 from .fp import row_echelon
-from .portraits import Portrait, identity_perm, level_offsets, perm_labels, vertex_position
+from .portraits import Portrait, identity_perm, label_count, level_offsets, perm_labels, vertex_position
 
 
 class ChainError(RuntimeError):
@@ -57,8 +57,8 @@ class _LevelSolve:
     U[i, j] = row_i[col_j] (i < j), and the reduced labels are
     v - v[cols] @ E. Both are int16, in arrays that double. Above the
     deepest level, `unpow[j]` stacks the leaf permutations of
-    rep_j^-1, ..., rep_j^-(p-1), so the rows with c_i > 0 are composed
-    with rep_j^-c_i by one gather through `unpow[j][c - 1]`.
+    rep_j^-1, ..., rep_j^-(p-1), so the rows with c_i = e > 0 are composed
+    with rep_j^-e by one gather through `unpow[j][e - 1]` (`_unpower`).
     """
 
     __slots__ = ("level", "k", "cols", "tinv", "ech", "unpow", "views")
@@ -174,11 +174,11 @@ class SubgroupChain:
         At each level the rows are reduced by the level's pivots: the
         coefficients come from one linear solve, and above the deepest level
         the rows are composed with rep_j^-c_j in pivot order, one gather per
-        pivot of the rows it moves. The deepest level of St(n-1) is
-        elementary abelian and a representative there is the portrait of
-        its row, so it is reduced on labels alone, and a failing row's
-        residual is the portrait of its reduced labels. A row left with
-        labels fails at the level and goes no deeper.
+        pivot and coefficient value of the rows it moves. The deepest level
+        of St(n-1) is elementary abelian and a representative there is the
+        portrait of its row, so it is reduced on labels alone, and a failing
+        row's residual is the portrait of its reduced labels. A row left
+        with labels fails at the level and goes no deeper.
 
         With `insert`, the rows failing at a level are then eliminated
         against each other in row order (`_eliminate`): each that is still
@@ -216,9 +216,9 @@ class SubgroupChain:
                 v = (v - _residue_matmul(head, ech, p)) % p
                 if not last:
                     c = _residue_matmul(head, tinv, p) % p
+                    every = np.arange(len(work))
                     for j in np.flatnonzero(c.any(axis=0)):
-                        sel = np.flatnonzero(c[:, j])
-                        work[sel] = _mul(unpow[j][c[sel, j] - 1], work[sel])
+                        _unpower(work, every, c[:, j], unpow[j])
                         moved = True
             failed = v.any(axis=1)
             if not failed.any():
@@ -250,10 +250,13 @@ class SubgroupChain:
 
         `v` holds every row's level-d labels, reduced by the level's earlier
         pivots, and `work` the residuals. The first failing row becomes a
-        pivot; the later ones are reduced by it, on their labels and, above
-        the deepest level, by composing with its inverse powers; the first
-        one still left with labels is next. Returns the (position,
-        representative) pair of each row made a pivot.
+        pivot: its row is its labels scaled to a 1 in their first nonzero
+        column, and its representative the residual raised to that scale,
+        which at the deepest level is the portrait of the row. The later rows
+        are reduced by it, on their labels and, above the deepest level, by
+        composing with its inverse powers; the first one still left with
+        labels is next. Returns the (position, representative) pair of each
+        row made a pivot.
         """
         p, depth = self.p, self.depth
         last = d == depth - 1
@@ -263,19 +266,26 @@ class SubgroupChain:
         pivots = []
         while idx.size:
             i = idx[0]
-            if last:  # its labels may have changed since the pass set its residual
-                work[i] = (firsts + shifts[v[0]]).reshape(-1)
-            rep = self._insert(Portrait._from_perm(p, depth, work[i].copy()), d)
+            col = int(np.flatnonzero(v[0])[0])
+            s = pow(int(v[0, col]), -1, p)
+            row = v[0] * s % p
+            if last:
+                work[i] = (firsts + shifts[v[0]]).reshape(-1)  # the residual of its current labels
+                perm = (firsts + shifts[row]).reshape(-1)
+            else:
+                perm = work[i].copy()
+                for _ in range(s - 1):
+                    perm = perm[work[i]]
+            rep = Portrait._from_perm(p, depth, perm)
+            self.levels[d].append((col, row, rep))
             pivots.append((i, rep))
-            col, row, _ = self.levels[d][-1]
             idx, v = idx[1:], v[1:]
             c = v[:, col].copy()
             if c.any():
                 v -= np.multiply.outer(c, row)
                 v %= p
                 if not last:
-                    sel = np.flatnonzero(c)
-                    work[idx[sel]] = _mul(_inverse_powers(rep.perm, p)[c[sel] - 1], work[idx[sel]])
+                    _unpower(work, idx, c, _inverse_powers(perm, p))
                 left = v.any(axis=1)
                 if not left.all():
                     idx, v = idx[left], v[left]
@@ -304,16 +314,6 @@ class SubgroupChain:
         fail, _ = self.sift_batch(np.array([piv.perm for piv in pivots]))
         bad = np.flatnonzero(fail >= 0)
         return (True, None) if not bad.size else (False, pivots[bad[0]])
-
-    def _insert(self, residual: Portrait, d: int) -> Portrait:
-        p = self.p
-        v = residual.level_labels(d).astype(np.int64) % p
-        col = int(np.flatnonzero(v)[0])
-        s = pow(int(v[col]), -1, p)
-        rep = residual ** s if s > 1 else residual
-        row = (v * s) % p
-        self.levels[d].append((col, row, rep))
-        return rep
 
     def elements(self, limit: int = 200000):
         """All elements as portraits (staircase normal forms); guarded by `limit`."""
@@ -345,6 +345,18 @@ def _inverse_powers(perm: np.ndarray, p: int) -> np.ndarray:
     for e in range(1, p - 1):
         out[e] = out[e - 1][out[0]]
     return out
+
+
+def _unpower(work: np.ndarray, idx: np.ndarray, c: np.ndarray, powers: np.ndarray) -> None:
+    """Compose row idx[i] of `work` with powers[c[i] - 1] for each c[i] > 0.
+
+    The rows with the same coefficient take one gather with one column
+    index, so a pivot costs at most p-1 gathers whatever the rows it moves.
+    """
+    for e in range(1, len(powers) + 1):
+        sel = idx[c == e]
+        if sel.size:
+            work[sel] = np.take(work[sel], powers[e - 1], axis=1)
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -652,43 +664,101 @@ class ChainStore:
         if chain is None:
             chain = builder()
             if path:
-                _write_atomic(path, _chain_to_dict(chain))
+                _write_atomic(path, _chain_json(chain))
         self.mem[key] = chain
         return chain
 
 
-def _write_atomic(path: str, payload: dict) -> None:
-    """Write JSON to a temporary file beside `path`, then move it into place.
-
-    The bytes are those of json.dumps(payload). Each generator and each
-    pivot entry is encoded on its own by the C encoder, which holds one
-    string per number of what it encodes until it joins them.
-    """
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write the bytes to a temporary file beside `path`, then move it into place."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write("{")
-            for i, (key, value) in enumerate(payload.items()):
-                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-                _write_json(fh, value, {"gens": 1, "levels": 2}.get(key, 0))
-            fh.write("}")
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _write_json(fh, value, split: int) -> None:
-    """json.dumps(value), with the outer `split` list levels written item by item."""
-    if not split:
-        fh.write(json.dumps(value))
-        return
-    fh.write("[")
-    for i, item in enumerate(value):
-        if i:
-            fh.write(", ")
-        _write_json(fh, item, split - 1)
-    fh.write("]")
+def _chain_json(chain: SubgroupChain) -> bytes:
+    """A chain's cache file: compact JSON, encoded a whole stack at a time.
+
+    The bytes are those of json.dumps with the separators "," and ":" of
+    {"v": 2, "p", "depth", "gens": the generators' labels, "levels": one
+    list per level of [column, row, representative's labels], "sha256":
+    chain_digest}. Files that older versions wrote with ", " and ": " hold
+    the same value and load the same way. Labels and rows are encoded in
+    the smallest unsigned type that holds p-1, uint8 up to p = 256.
+    """
+    p = chain.p
+    small = np.min_scalar_type(p - 1)
+    gens, levels = _chain_stacks(chain)
+    entries = b",".join(
+        b"[%s]" % _json_rows("[", cols[:, None], ",[", rows.astype(small), "],[", reps.astype(small), "]]")
+        for cols, rows, reps in levels
+    )
+    return b'{"v":%d,"p":%d,"depth":%d,"gens":[%s],"levels":[%s],"sha256":"%s"}' % (
+        CACHE_FORMAT,
+        p,
+        chain.depth,
+        _json_rows("[", gens.astype(small), "]"),
+        entries,
+        _digest(gens, levels).encode(),
+    )
+
+
+def _json_rows(*pieces) -> bytes:
+    """Compact JSON of the rows of integer stacks, the rows joined by ",".
+
+    `pieces` are literal texts and stacks of nonnegative integers, one row
+    per output row each; output row i is the pieces in order, with the items
+    of row i of each stack joined by ",". The text of every row is one row of
+    a uint8 array, each number a field of its stack's widest digit count,
+    and one mask drops the leading zeros of every field, so no number
+    becomes a Python string.
+    """
+    template, fields = bytearray(), []
+    for piece in pieces:
+        if isinstance(piece, str):
+            template += piece.encode()
+            continue
+        width = len(str(int(piece.max()))) if piece.size else 1
+        fields.append((piece, len(template), width))
+        template += b",".join([b"0" * width] * piece.shape[1])
+    template += b","
+    out = np.tile(np.frombuffer(template, np.uint8), (len(fields[0][0]), 1))
+    keep = np.ones(out.shape, dtype=bool)
+    for piece, start, width in fields:
+        stop = start + piece.shape[1] * (width + 1)
+        for t in range(width):
+            scale = 10 ** (width - 1 - t)
+            out[:, start + t : stop : width + 1] = piece // scale % 10 + 48
+            if t < width - 1:
+                keep[:, start + t : stop : width + 1] = piece >= scale
+    return out[keep][:-1].tobytes()
+
+
+def _chain_stacks(chain: SubgroupChain) -> tuple[np.ndarray, list[tuple]]:
+    """What a cache file holds, as stacks: the generators' labels and, level
+    by level, the pivot columns, rows (int64) and representatives' labels."""
+    p, depth = chain.p, chain.depth
+    levels = [
+        (
+            np.array([col for col, _, _ in lv], dtype=np.intp),
+            np.array([row for _, row, _ in lv], dtype=np.int64).reshape(len(lv), p**d),
+            _labels_of(p, depth, [rep for _, _, rep in lv]),
+        )
+        for d, lv in enumerate(chain.levels)
+    ]
+    return _labels_of(p, depth, chain.gens), levels
+
+
+def _labels_of(p: int, depth: int, portraits) -> np.ndarray:
+    """The portraits' labels as one int16 stack, read off their permutations in one gather."""
+    if not portraits:
+        return np.empty((0, label_count(p, depth)), np.int16)
+    return perm_labels(p, depth, np.array([g.perm for g in portraits])).astype(np.int16)
 
 
 def chain_digest(chain: SubgroupChain) -> str:
@@ -697,30 +767,21 @@ def chain_digest(chain: SubgroupChain) -> str:
     It hashes the arrays rather than their JSON text, so checking a file
     costs no second encoding of it.
     """
-    h = hashlib.sha256(f"gens {len(chain.gens)}".encode())
-    for g in chain.gens:
-        h.update(g.labels.tobytes())
-    for d, lv in enumerate(chain.levels):
-        h.update(f"level {d}: {len(lv)}".encode())
-        for col, row, rep in lv:
+    return _digest(*_chain_stacks(chain))
+
+
+def _digest(gens: np.ndarray, levels) -> str:
+    """chain_digest of stacks as `_chain_stacks` reads them (labels int16,
+    rows int64); an empty level may be ((), (), ())."""
+    h = hashlib.sha256(f"gens {len(gens)}".encode())
+    h.update(gens.tobytes())
+    for d, (cols, rows, reps) in enumerate(levels):
+        h.update(f"level {d}: {len(cols)}".encode())
+        for col, row, rep in zip(cols, rows, reps):
             h.update(f"col {col}".encode())
             h.update(row.tobytes())
-            h.update(rep.labels.tobytes())
+            h.update(rep.tobytes())
     return h.hexdigest()
-
-
-def _chain_to_dict(chain: SubgroupChain) -> dict:
-    return {
-        "v": CACHE_FORMAT,
-        "p": chain.p,
-        "depth": chain.depth,
-        "gens": [g.labels.tolist() for g in chain.gens],
-        "levels": [
-            [[col, row.tolist(), rep.labels.tolist()] for (col, row, rep) in lv]
-            for lv in chain.levels
-        ],
-        "sha256": chain_digest(chain),
-    }
 
 
 def _chain_from_dict(data: dict, p: int, depth: int) -> SubgroupChain:
@@ -729,16 +790,19 @@ def _chain_from_dict(data: dict, p: int, depth: int) -> SubgroupChain:
     The generators and each level's representatives are read as one int16
     stack each and checked as a whole: residues mod p, no label above level
     d, level-d labels equal to the row, and the row's pivot column holding 1,
-    as `_insert` stores them.
+    as `_eliminate` stores them. The digest is taken over the same stacks.
     """
     if data["v"] != CACHE_FORMAT or data["p"] != p or data["depth"] != depth:
         raise ValueError("cache file has another format, p or depth")
     if len(data["levels"]) != depth:
         raise ValueError("cache file has the wrong number of levels")
-    chain = SubgroupChain(p, depth, gens=_portraits(p, depth, _label_stack(p, depth, data["gens"])))
+    gens = _label_stack(p, depth, data["gens"])
+    chain = SubgroupChain(p, depth, gens=_portraits(p, depth, gens))
     offs = level_offsets(p, depth)
+    levels = []
     for d, lv in enumerate(data["levels"]):
         if not lv:
+            levels.append(((), (), ()))
             continue
         if any(len(entry) != 3 for entry in lv):
             raise ValueError(f"cache file level {d} has a malformed pivot")
@@ -755,8 +819,9 @@ def _chain_from_dict(data: dict, p: int, depth: int) -> SubgroupChain:
             or not (rows[np.arange(len(lv)), cols] == 1).all()
         ):
             raise ValueError(f"cache file level {d} has an inconsistent pivot")
+        levels.append((cols, rows, reps))
         chain.levels[d] = list(zip(cols.tolist(), rows, _portraits(p, depth, reps)))
-    if data["sha256"] != chain_digest(chain):
+    if data["sha256"] != _digest(gens, levels):
         raise ValueError("cache file digest does not match its contents")
     return chain
 

@@ -16,7 +16,9 @@ from megs.chains import (
     ChainStore,
     DegreeGuardError,
     SubgroupChain,
-    _chain_to_dict,
+    CACHE_FORMAT,
+    _chain_json,
+    _json_rows,
     _residue_matmul,
     _write_atomic,
     block_product_chain,
@@ -345,6 +347,18 @@ def test_batched_sift_follows_levels_appended_after_a_sift():
     assert all(partial.contains(g) for g in full.pivots())
 
 
+def _insert(chain, residual, d):
+    """Append the residual failing at level d as a pivot, scaled to a 1 in its pivot column."""
+    p = chain.p
+    v = residual.level_labels(d).astype(np.int64) % p
+    col = int(np.flatnonzero(v)[0])
+    s = pow(int(v[col]), -1, p)
+    rep = residual ** s if s > 1 else residual
+    row = (v * s) % p
+    chain.levels[d].append((col, row, rep))
+    return rep
+
+
 def reference_close(p, depth, seeds, conjugators=()):
     """The one-at-a-time worklist closure that also sifts every recipe of a deepest pivot."""
     chain = SubgroupChain(p, depth, gens=tuple(seeds))
@@ -353,7 +367,7 @@ def reference_close(p, depth, seeds, conjugators=()):
         d, residual = reference_sift(chain, queue.popleft())
         if d is None:
             continue
-        rep = chain._insert(residual, d)
+        rep = _insert(chain, residual, d)
         if d + 1 < depth:
             queue.append(rep ** p)
         for e, lv in enumerate(chain.levels):
@@ -447,13 +461,68 @@ def test_sift_raises_when_a_residual_moves_a_level_above_the_deepest():
         chain.sift_batch(np.stack([Portrait.identity(3, 2).perm, a.perm]))
 
 
+def chain_to_dict(chain):
+    """The value a cache file holds, as lists."""
+    return {
+        "v": CACHE_FORMAT,
+        "p": chain.p,
+        "depth": chain.depth,
+        "gens": [g.labels.tolist() for g in chain.gens],
+        "levels": [
+            [[col, row.tolist(), rep.labels.tolist()] for (col, row, rep) in lv]
+            for lv in chain.levels
+        ],
+        "sha256": chain_digest(chain),
+    }
+
+
 def test_cache_writes_are_the_bytes_of_json_dumps(tmp_path):
     chain = quotient(NumericalDatum.from_text("p = 5; E1 = (1, 2, 0, 0)"), 3).full()
-    payload = _chain_to_dict(chain)
     path = tmp_path / "chain.json"
-    _write_atomic(str(path), payload)
-    assert path.read_text() == json.dumps(payload)
+    _write_atomic(str(path), _chain_json(chain))
+    assert path.read_text() == json.dumps(chain_to_dict(chain), separators=(",", ":"))
     assert [p.name for p in tmp_path.iterdir()] == ["chain.json"]
+
+
+@pytest.mark.parametrize(
+    "text, level",
+    # p = 11 has two-digit labels; every level's pivot columns have more digits.
+    [("p = 3; E1 = (1, 2)", 4), ("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)", 3),
+     ("p = 11; E1 = (1, 2, 0, 0, 0, 0, 0, 0, 0, 3)", 3), ("p = 3; E1 = (1, 2)", 0)],
+)
+def test_cache_files_are_compact_json_dumps(text, level):
+    q = quotient(NumericalDatum.from_text(text), level)
+    for descriptor in ("full", "derived", "gamma3", "kernel-derived:1") if level else ("full",):
+        chain = q.chain(descriptor)
+        assert _chain_json(chain) == json.dumps(chain_to_dict(chain), separators=(",", ":")).encode()
+
+
+def test_json_rows_writes_numbers_of_any_width():
+    rng = np.random.default_rng(5)
+    for high in (1, 2, 10, 11, 256, 20000):
+        for width in (0, 1, 7):
+            a = rng.integers(0, high, (4, width), dtype=np.int64)
+            b = rng.integers(0, high, (4, 1), dtype=np.int64)
+            want = ",".join(json.dumps([x, y], separators=(",", ":")) for x, y in zip(a.tolist(), b.tolist()))
+            assert _json_rows("[[", a, "],[", b, "]]").decode() == want
+    assert _json_rows("[", np.empty((0, 3), np.uint8), "]") == b""
+
+
+def test_a_spaced_file_of_an_older_version_loads_and_is_kept(tmp_path):
+    chain = quotient(GS, 4, store=ChainStore(cache_dir=str(tmp_path))).full()
+    (path,) = tmp_path.glob("chain-*.json")
+    spaced = json.dumps(chain_to_dict(chain))  # ", " and ": ", as older versions wrote
+    assert ", " in spaced and len(spaced) > len(path.read_text())
+    path.write_text(spaced)
+    before = os.stat(path).st_mtime_ns
+
+    def boom():
+        raise AssertionError("builder should not run on a warm cache")
+
+    reloaded = ChainStore(cache_dir=str(tmp_path)).get_or_build(GS, 4, "full", boom)
+    assert chain_digest(reloaded) == chain_digest(chain)
+    assert path.read_text() == spaced
+    assert os.stat(path).st_mtime_ns == before
 
 
 def test_embed_and_block_product():
@@ -730,7 +799,7 @@ def test_a_kernel_file_from_an_older_cache_is_never_read(tmp_path, monkeypatch):
     store = ChainStore(cache_dir=str(tmp_path))
     full = quotient(GS, 4, store=store).full()
     stale = store._path(GS, 4, "kernel:2")
-    _write_atomic(stale, _chain_to_dict(full))
+    _write_atomic(stale, _chain_json(full))
     before = os.stat(stale).st_mtime_ns
     opened = []
 
