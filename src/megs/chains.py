@@ -4,9 +4,12 @@ An element of the depth-n quotient is a portrait. For a subgroup H and each
 level d, the label rows at level d of the elements of H that fix the tree to
 depth d form a linear code over F_p, because the level-d labels are additive
 on that stabilizer. A chain holds one echelon basis per level together with a
-representative element per basis row. Sifting reduces a stack of elements
-level by level: the reduction coefficients at a level come from one linear
-solve, above the deepest level each element is then multiplied by the
+representative element per basis row, each level one object of stacks
+(`ChainLevel`): the pivot columns, the rows as one matrix and, above the
+deepest level, the representatives' leaf permutations; a representative at
+the deepest level is the portrait of its row. Sifting reduces a stack of
+elements level by level: the reduction coefficients at a level come from one
+linear solve, above the deepest level each element is then multiplied by the
 representatives' inverse powers, and at the deepest level, which is
 elementary abelian, only the labels are reduced. Membership and exact orders
 (p to the sum of the level dimensions) follow. The same level pass inserts:
@@ -31,13 +34,12 @@ import json
 import os
 from collections import deque
 from functools import lru_cache
-from itertools import product as iter_product
 
 import numpy as np
 
 from .datum import NumericalDatum, generator_portraits
 from .fp import row_echelon
-from .portraits import Portrait, identity_perm, label_count, level_offsets, perm_labels, vertex_position
+from .portraits import Portrait, _perm_from_labels, identity_perm, level_offsets, perm_labels, vertex_position
 
 
 class ChainError(RuntimeError):
@@ -48,33 +50,69 @@ class DegreeGuardError(ChainError):
     """The requested quotient degree exceeds the configured guard."""
 
 
-class _LevelSolve:
-    """Sift state of one level: the pivot columns, T and E = T @ rows (mod p).
+class ChainLevel:
+    """Level d of a chain: its pivots as stacks, and their sift state.
 
-    Reducing v by the pivots in order subtracts c_j * row_j with
+    A pivot is a column, a row of level-d labels with a 1 in that column and
+    a representative that fixes the tree to depth d with that row as its
+    level-d labels. The level keeps the columns `cols`, the k x p^d `rows`
+    (int16) and, above the deepest level, the representatives' k x p^n leaf
+    permutations (int32); a representative at the deepest level is the
+    portrait of its row alone (`_deepest_perms`) and keeps none. The stacks
+    only grow at the end, through `append`.
+
+    The sift state takes in the pivots appended since it was last read
+    (`state`). Reducing v by the pivots in order subtracts c_j * row_j with
     c_j = v[col_j] - sum_{i<j} c_i * row_i[col_j], so c = v[cols] @ T, where
     T is the inverse mod p of the unit upper-triangular matrix
     U[i, j] = row_i[col_j] (i < j), and the reduced labels are
-    v - v[cols] @ E. Both are int16, in arrays that double. Above the
-    deepest level, `unpow[j]` stacks the leaf permutations of
-    rep_j^-1, ..., rep_j^-(p-1), so the rows with c_i = e > 0 are composed
-    with rep_j^-e by one gather through `unpow[j][e - 1]` (`_unpower`).
+    v - v[cols] @ E with E = T @ rows (mod p), both int16. Above the deepest
+    level, `unpow[j]` stacks the leaf permutations of rep_j^-1, ...,
+    rep_j^-(p-1), so the rows with c_j = e > 0 are composed with rep_j^-e by
+    one gather through `unpow[j][e - 1]` (`_unpower`).
     """
 
-    __slots__ = ("level", "k", "cols", "tinv", "ech", "unpow", "views")
+    __slots__ = ("p", "depth", "cols", "rows", "_perms", "_tinv", "_ech", "_unpow")
 
-    def __init__(self, level: list, width: int, upper: bool):
-        cap = min(8, width)  # a level holds at most `width` independent rows
-        self.level = level
-        self.k = 0
-        self.cols = np.empty(cap, np.intp)
-        self.tinv = np.zeros((cap, cap), np.int16)
-        self.ech = np.empty((cap, width), np.int16)
-        self.unpow = [] if upper else None
-        self.views = (self.cols[:0], self.tinv[:0, :0], self.ech[:0], self.unpow)
+    def __init__(self, p: int, depth: int, d: int):
+        self.p, self.depth = p, depth
+        self.cols = np.empty(0, np.intp)
+        self.rows = self._ech = np.empty((0, p**d), np.int16)
+        self._perms = np.empty((0, p**depth), np.int32) if d < depth - 1 else None
+        self._tinv = np.empty((0, 0), np.int16)
+        self._unpow: list[np.ndarray | None] = []
 
-    def extend(self, p: int) -> None:
-        """Take in the m pivots appended to the level since the last call.
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def perms(self) -> np.ndarray:
+        """The representatives' leaf permutations, one row each."""
+        return _deepest_perms(self.p, self.depth, self.rows) if self._perms is None else self._perms
+
+    def labels(self) -> np.ndarray:
+        """The representatives' labels, one int16 row each."""
+        if self._perms is not None:
+            return perm_labels(self.p, self.depth, self._perms).astype(np.int16)
+        return np.pad(self.rows, ((0, 0), (level_offsets(self.p, self.depth)[-2], 0)))
+
+    def append(self, cols, rows, perms=None, unpow=None) -> None:
+        """Append pivots: their columns, rows and, above the deepest level,
+        the representatives' leaf permutations, with their inverse powers
+        when those are already built. A deepest level ignores `perms`."""
+        self.cols = np.concatenate([self.cols, cols], dtype=np.intp)
+        self.rows = np.concatenate([self.rows, rows], dtype=np.int16)
+        if self._perms is not None:
+            self._perms = np.concatenate([self._perms, perms], dtype=np.int32)
+            self._unpow.extend(unpow if unpow is not None else [None] * len(cols))
+
+    def state(self) -> tuple:
+        """The pivot columns, T, E and the inverse powers, up to date."""
+        if len(self._tinv) < len(self.cols):
+            self._extend()
+        return self.cols, self._tinv, self._ech, self._unpow
+
+    def _extend(self) -> None:
+        """Take the m pivots appended since the last call into the sift state.
 
         With U = [[U_old, U_on], [0, U_new]], T gains the block column
         [X; T_new] with T_new = U_new^-1 and X = -E_old[:, new cols] @ T_new,
@@ -82,18 +120,9 @@ class _LevelSolve:
         I + N with N nilpotent, so T_new = (I - N)(I + N^2)(I + N^4)...,
         up to the first power of N that is zero.
         """
-        lv, k = self.level, self.k
-        new = lv[k:]
-        m = len(new)
-        cols, tinv, ech = self.cols, self.tinv, self.ech
-        if k + m > len(cols):
-            cap = max(k + m, min(2 * len(cols), ech.shape[1]))
-            cols = np.resize(cols, cap)
-            tinv = np.zeros((cap, cap), np.int16)
-            tinv[:k, :k] = self.tinv[:k, :k]
-            ech = np.concatenate([ech[:k], np.empty((cap - k, ech.shape[1]), np.int16)])
-        new_cols = [col for col, _, _ in new]
-        new_rows = np.array([row for _, row, _ in new], dtype=np.int64)
+        p, k = self.p, len(self._tinv)
+        new_cols, new_rows = self.cols[k:], self.rows[k:].astype(np.int64)
+        m = len(new_cols)
         eye = np.eye(m, dtype=np.int64)
         nil = np.triu(new_rows[:, new_cols], 1)
         t_new, span = (eye - nil) % p, 2
@@ -101,37 +130,35 @@ class _LevelSolve:
             nil = _residue_matmul(nil, nil, p) % p
             t_new = _residue_matmul(t_new, eye + nil, p) % p
             span *= 2
-        if k:
-            x = -_residue_matmul(ech[:k, new_cols], t_new, p) % p
-            ech[:k] = (ech[:k] + _residue_matmul(x, new_rows, p)) % p
-            tinv[:k, k : k + m] = x
-        ech[k : k + m] = _residue_matmul(t_new, new_rows, p) % p
-        tinv[k : k + m, k : k + m] = t_new
-        cols[k : k + m] = new_cols
-        if self.unpow is not None:
-            self.unpow.extend(_inverse_powers(rep.perm, p) for _, _, rep in new)
-        k += m
-        self.k, self.cols, self.tinv, self.ech = k, cols, tinv, ech
-        self.views = (cols[:k], tinv[:k, :k], ech[:k], self.unpow)
+        x = -_residue_matmul(self._ech[:, new_cols], t_new, p) % p
+        self._ech = np.concatenate(
+            [(self._ech + _residue_matmul(x, new_rows, p)) % p, _residue_matmul(t_new, new_rows, p) % p],
+            dtype=np.int16,
+        )
+        tinv = np.zeros((k + m, k + m), np.int16)
+        tinv[:k, :k], tinv[:k, k:], tinv[k:, k:] = self._tinv, x, t_new
+        self._tinv = tinv
+        for j in range(k, len(self._unpow)):
+            if self._unpow[j] is None:
+                self._unpow[j] = _inverse_powers(self._perms[j], p)
 
 
 class SubgroupChain:
     """Level-filtration stabilizer chain of a subgroup of a depth-n quotient.
 
-    `levels[d]` lists (pivot column, row, representative) in insertion order
-    and only ever grows at the end; the sift state of each level follows it.
-    A representative fixes the tree to depth d and its level-d labels are
-    its row, so one at the deepest level is the portrait of its row alone.
+    `levels[d]` is the `ChainLevel` of level d: the pivots' columns, rows
+    and representatives as stacks, in insertion order, with the level's
+    sift state. Portraits are made only for the callers that ask for them
+    (`pivots`, `elements`, `sift`). `gens` holds a closure's seeds, if any.
     """
 
-    __slots__ = ("p", "depth", "levels", "gens", "_solve")
+    __slots__ = ("p", "depth", "levels", "gens")
 
     def __init__(self, p: int, depth: int, gens: tuple[Portrait, ...] = ()):
         self.p = p
         self.depth = depth
-        self.levels: list[list[tuple[int, np.ndarray, Portrait]]] = [[] for _ in range(depth)]
+        self.levels = [ChainLevel(p, depth, d) for d in range(depth)]
         self.gens = tuple(gens)
-        self._solve: list[_LevelSolve | None] = [None] * depth
 
     # -- measures -----------------------------------------------------------
 
@@ -144,20 +171,14 @@ class SubgroupChain:
     def order(self) -> int:
         return self.p ** self.order_exponent()
 
+    def perms(self) -> np.ndarray:
+        """The pivots' leaf permutations in level order, one row each."""
+        return np.concatenate([np.empty((0, self.p**self.depth), np.int32), *(lv.perms() for lv in self.levels)])
+
     def pivots(self) -> list[Portrait]:
-        return [rep for lv in self.levels for (_, _, rep) in lv]
+        return [Portrait._from_perm(self.p, self.depth, perm) for perm in self.perms()]
 
     # -- membership -----------------------------------------------------------
-
-    def _level_state(self, d: int) -> tuple:
-        """Pivot columns, T, E and the inverse powers of level d (see
-        `_LevelSolve`), up to date."""
-        lv, st = self.levels[d], self._solve[d]
-        if st is None or st.level is not lv or st.k > len(lv):
-            st = self._solve[d] = _LevelSolve(lv, self.p**d, d < self.depth - 1)
-        if st.k < len(lv):
-            st.extend(self.p)
-        return st.views
 
     def sift_batch(self, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sift a stack of leaf permutations (B x p^n) level by level.
@@ -165,30 +186,33 @@ class SubgroupChain:
         Returns each row's failing level (-1 for a member) and its residual
         permutation (the identity for a member); see `_level_pass`.
         """
-        fail, out, _ = self._level_pass(perms)
-        return fail, out
+        return self._level_pass(perms)[:2]
 
     def _level_pass(self, perms: np.ndarray, insert: bool = False):
         """Reduce a stack of leaf permutations (B x p^n) one level at a time.
 
-        At each level the rows are reduced by the level's pivots: the
-        coefficients come from one linear solve, and above the deepest level
-        the rows are composed with rep_j^-c_j in pivot order, one gather per
-        pivot and coefficient value of the rows it moves. The deepest level
-        of St(n-1) is elementary abelian and a representative there is the
-        portrait of its row, so it is reduced on labels alone, and a failing
-        row's residual is the portrait of its reduced labels. A row left
-        with labels fails at the level and goes no deeper.
+        At each level the rows are reduced by the level's pivots, read off
+        its sift state (`ChainLevel.state`): the coefficients come from one
+        linear solve, and above the deepest level the rows are composed with
+        rep_j^-c_j in pivot order, one gather through the level's stack of
+        inverse powers per pivot and coefficient value of the rows it moves.
+        The deepest level of St(n-1) is elementary abelian and a
+        representative there is the portrait of its row, so it is reduced on
+        labels alone, and a failing row's residual is the portrait of its
+        reduced labels. A row left with labels fails at the level and goes
+        no deeper.
 
         With `insert`, the rows failing at a level are then eliminated
         against each other in row order (`_eliminate`): each that is still
         left with labels becomes a pivot, and those reduced to nothing go on
-        to the next level. A pivot appended at level d changes the reduction
-        of no row at any other level, so these are the pivots of sifting and
-        inserting the rows one at a time.
+        to the next level; the level takes the pivots as one stack. A pivot
+        appended at level d changes the reduction of no row at any other
+        level, so these are the pivots of sifting and inserting the rows one
+        at a time.
 
         Returns each row's failing level, its residual, and the pivots made,
-        as (row, level, representative) in row order.
+        as (row, level) in row order; a level's pivots are appended in row
+        order, so those of level d are its last ones.
         """
         p, depth = self.p, self.depth
         offs = level_offsets(p, depth)
@@ -199,8 +223,8 @@ class SubgroupChain:
         out = np.empty_like(work)
         fail = np.full(len(work), -1, dtype=np.intp)
         rows = np.arange(len(work))  # the input row of each row of `work`
-        made: list[tuple[int, int, Portrait]] = []
-        for d in range(depth):
+        made: list[tuple[int, int]] = []
+        for d, lv in enumerate(self.levels):
             if not len(work):
                 break
             last = d == depth - 1
@@ -209,7 +233,7 @@ class SubgroupChain:
             v = labels[:, offs[d] : offs[d + 1]]
             if not v.any():
                 continue
-            cols, tinv, ech, unpow = self._level_state(d)
+            cols, tinv, ech, unpow = lv.state()
             moved = False
             if cols.size:
                 head = v[:, cols]
@@ -225,16 +249,15 @@ class SubgroupChain:
                 if moved:
                     labels = perm_labels(p, depth, work)
                 continue
-            if last:
+            if last and not insert:
                 # The residual in St(n-1) whose only labels are the reduced ones.
-                firsts, shifts = _deepest_rotations(p, depth)
-                work[failed] = (firsts + shifts[v[failed]]).reshape(int(failed.sum()), -1)
+                work[failed] = _deepest_perms(p, depth, v[failed])
             if insert:
                 pivots = self._eliminate(d, work, v, failed)
-                made.extend((int(rows[i]), d, rep) for i, rep in pivots)
+                made.extend((int(rows[i]), d) for i in pivots)
                 moved = moved or len(pivots) < failed.sum()
                 failed = np.zeros_like(failed)
-                failed[[i for i, _ in pivots]] = True
+                failed[pivots] = True
             gone = rows[failed]
             fail[gone] = d
             out[gone] = work[failed]
@@ -252,44 +275,46 @@ class SubgroupChain:
         pivots, and `work` the residuals. The first failing row becomes a
         pivot: its row is its labels scaled to a 1 in their first nonzero
         column, and its representative the residual raised to that scale,
-        which at the deepest level is the portrait of the row. The later rows
-        are reduced by it, on their labels and, above the deepest level, by
-        composing with its inverse powers; the first one still left with
-        labels is next. Returns the (position, representative) pair of each
-        row made a pivot.
+        which at the deepest level is the portrait of the row and is not
+        kept. The later rows are reduced by it, on their labels and, above
+        the deepest level, by composing with its inverse powers, which the
+        level then keeps; the first one still left with labels is next. The
+        pivots are appended to the level as one stack. Returns the positions
+        of the rows made pivots.
         """
         p, depth = self.p, self.depth
         last = d == depth - 1
-        firsts, shifts = _deepest_rotations(p, depth)
         idx = np.flatnonzero(failed)
         v = v[idx].astype(np.int64)
-        pivots = []
+        made, cols, heads, rows, perms, unpow = [], [], [], [], [], []
         while idx.size:
             i = idx[0]
             col = int(np.flatnonzero(v[0])[0])
             s = pow(int(v[0, col]), -1, p)
-            row = v[0] * s % p
-            if last:
-                work[i] = (firsts + shifts[v[0]]).reshape(-1)  # the residual of its current labels
-                perm = (firsts + shifts[row]).reshape(-1)
-            else:
+            made.append(i)
+            cols.append(col)
+            heads.append(v[0])
+            rows.append(v[0] * s % p)
+            if not last:
                 perm = work[i].copy()
                 for _ in range(s - 1):
                     perm = perm[work[i]]
-            rep = Portrait._from_perm(p, depth, perm)
-            self.levels[d].append((col, row, rep))
-            pivots.append((i, rep))
+                perms.append(perm)
+                unpow.append(_inverse_powers(perm, p))
             idx, v = idx[1:], v[1:]
             c = v[:, col].copy()
             if c.any():
-                v -= np.multiply.outer(c, row)
+                v -= np.multiply.outer(c, rows[-1])
                 v %= p
                 if not last:
-                    _unpower(work, idx, c, _inverse_powers(perm, p))
+                    _unpower(work, idx, c, unpow[-1])
                 left = v.any(axis=1)
                 if not left.all():
                     idx, v = idx[left], v[left]
-        return pivots
+        if last:  # each pivot's residual: the portrait of the labels it had when made
+            work[made] = _deepest_perms(p, depth, np.array(heads))
+        self.levels[d].append(cols, rows, perms, unpow)
+        return made
 
     def _require_fit(self, what: str, p: int, depth: int) -> None:
         if (p, depth) != (self.p, self.depth):
@@ -308,12 +333,10 @@ class SubgroupChain:
     def contains_chain(self, other: "SubgroupChain") -> tuple[bool, Portrait | None]:
         """Whether every pivot of `other` sifts into this chain."""
         self._require_fit("a chain", other.p, other.depth)
-        pivots = other.pivots()
-        if not pivots:
-            return True, None
-        fail, _ = self.sift_batch(np.array([piv.perm for piv in pivots]))
+        perms = other.perms()
+        fail, _ = self.sift_batch(perms)
         bad = np.flatnonzero(fail >= 0)
-        return (True, None) if not bad.size else (False, pivots[bad[0]])
+        return (True, None) if not bad.size else (False, Portrait._from_perm(self.p, self.depth, perms[bad[0]]))
 
     def elements(self, limit: int = 200000):
         """All elements as portraits (staircase normal forms); guarded by `limit`."""
@@ -373,18 +396,23 @@ def _flat(x: np.ndarray) -> np.ndarray:
     return x + np.arange(0, rows * n, n)[:, None]
 
 
-@lru_cache(maxsize=None)
-def _deepest_rotations(p: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pieces of the leaf permutations of portraits with only deepest labels.
+def _deepest_perms(p: int, depth: int, rows: np.ndarray) -> np.ndarray:
+    """Leaf permutations of the portraits whose only labels are deepest-level
+    rows, one for each row of the stack.
 
-    `firsts` holds the first leaf below each deepest vertex, as a column, and
-    row l of `shifts` the images of a vertex's p leaves under a rotation by
-    l; the portrait with deepest labels `labels` is (firsts + shifts[labels])
-    flattened.
+    The leaves below deepest vertex x are x*p, ..., x*p + p-1, and its label
+    l moves leaf x*p + y to x*p + (y + l) % p, read off row l of a table of
+    rotations.
     """
-    firsts = (np.arange(p ** (depth - 1), dtype=np.int32) * p)[:, None]
-    shifts = (np.arange(p, dtype=np.int32)[None, :] + np.arange(p, dtype=np.int32)[:, None]) % p
-    return firsts, shifts
+    firsts, rotations = _rotations(p, depth)
+    return (firsts + rotations[rows]).reshape(len(rows), p**depth)
+
+
+@lru_cache(maxsize=None)
+def _rotations(p: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first leaf below each deepest vertex, as a column, and the table of rotations."""
+    spins = np.arange(p, dtype=np.int32)
+    return np.arange(0, p**depth, p, dtype=np.int32)[:, None], (spins + spins[:, None]) % p
 
 
 BATCH = 64
@@ -399,15 +427,16 @@ def close_chain(
     """Chain of the subgroup generated by the seeds, closed under the conjugators.
 
     Lift: a worklist of recipes, not elements: ("seed", g), ("pow", rep),
-    ("comm", rep, other) and ("conj", left, rep, right) for left * rep * right,
-    each operand a leaf permutation. Up to BATCH recipes are built as one
-    stack (`_build`) and absorbed in one level pass, which finds the pivots
-    that sifting and inserting them one at a time would, in row order. Each
-    pivot then enqueues its recipes as it would have on insertion: its
-    commutators are taken with the prefix of each level that existed then.
-    Every recipe a batch enqueues goes behind every recipe in the queue, so
-    the pivots do not depend on BATCH. A pivot of the deepest level enqueues
-    nothing and is no other pivot's partner.
+    ("comm", rep, other) and ("conj", left, rep, right) for left * rep * right;
+    a pivot operand is (d, i), row i of level d's stack when built, so the
+    queue keeps no older stack alive, and any other a leaf permutation. Up
+    to BATCH recipes are built as one stack (`_build`) and absorbed in one
+    level pass, which finds the pivots that sifting and inserting them one
+    at a time would, in row order. Each pivot then enqueues its recipes as it
+    would have on insertion: its commutators are taken with the prefix of
+    each level that existed then. Every recipe a batch enqueues goes behind
+    every recipe in the queue, so the pivots do not depend on BATCH. A pivot
+    of the deepest level enqueues nothing and is no other pivot's partner.
 
     Spin: `_spin` then closes the deepest level under conjugation by the
     seeds or the pivots above that level, whichever are fewer, and by the
@@ -427,34 +456,34 @@ def close_chain(
     queue = deque(("seed", g.perm) for g in seeds)
     while queue:
         batch = [queue.popleft() for _ in range(min(BATCH, len(queue)))]
-        seen = [len(lv) for lv in chain.levels]
-        _, _, made = chain._level_pass(_build(batch, p), insert=True)
-        for _, d, rep in made:
+        seen = list(chain.dims())
+        stacks = [lv.perms() for lv in chain.levels[:last]]
+        _, _, made = chain._level_pass(_build(batch, p, stacks), insert=True)
+        for _, d in made:
             if d < last:
-                x = rep.perm
+                x = (d, seen[d])
                 queue.append(("pow", x))
-                for e, lv in enumerate(chain.levels[:last]):
+                for e in range(last):
                     if max(d, e) + (d == e) < depth:
-                        queue.extend(("comm", x, other.perm) for _, _, other in lv[: seen[e]])
+                        queue.extend(("comm", x, (e, j)) for j in range(seen[e]))
                 for c_inv, c in conj_pairs:
                     queue.append(("conj", c_inv, x, c))
                     queue.append(("conj", c, x, c_inv))
             seen[d] += 1
-    upper = [rep for lv in chain.levels[:last] for _, _, rep in lv]
-    _spin(chain, (seeds if len(seeds) <= len(upper) else upper) + list(conjugators))
-    # A finished chain keeps no sift state; a later sift rebuilds it at size.
-    chain._solve = [None] * depth
+    upper = [x for lv in chain.levels[:last] for x in lv.perms()]
+    _spin(chain, ([g.perm for g in seeds] if len(seeds) <= len(upper) else upper) + [c.perm for c in conjugators])
     return chain
 
 
-def _build(recipes: list[tuple], p: int) -> np.ndarray:
+def _build(recipes: list[tuple], p: int, stacks=()) -> np.ndarray:
     """The leaf permutations close_chain's recipes stand for, one row each.
 
-    Recipes of one kind are built together, from stacks of their operands:
-    a product x * y is the gather y[x] of each row. A commutator
-    c = (y x)^-1 (x y), as `commutator` computes it, is the scatter
-    c[(y x)[u]] = (x y)[u].
+    An operand (d, i) is row i of stacks[d]. Recipes of one kind are built
+    together, from stacks of their operands: a product x * y is the gather
+    y[x] of each row. A commutator c = (y x)^-1 (x y), as `commutator`
+    computes it, is the scatter c[(y x)[u]] = (x y)[u].
     """
+    recipes = [[stacks[a[0]][a[1]] if isinstance(a, tuple) else a for a in item] for item in recipes]
     out = np.empty((len(recipes), len(recipes[0][1])), dtype=np.int32)
     kinds: dict[str, list[int]] = {}
     for i, item in enumerate(recipes):
@@ -492,70 +521,53 @@ def _image_chain(p: int, depth: int, images: np.ndarray) -> SubgroupChain:
     One inserting level pass over psi(g_m), ..., psi(g_1), in that order,
     therefore closes nothing.
     """
-    chain = SubgroupChain(p, depth, gens=tuple(Portrait._from_perm(p, depth, g) for g in images))
+    chain = SubgroupChain(p, depth)
     chain._level_pass(images[::-1], insert=True)
-    chain._solve = [None] * depth
     return chain
 
 
-def _pivot_stack(chain: SubgroupChain) -> np.ndarray:
-    """The pivots' leaf permutations in level order, one row each."""
-    pivots = chain.pivots()
-    if not pivots:
-        return np.empty((0, chain.p**chain.depth), dtype=np.int32)
-    return np.array([rep.perm for rep in pivots])
-
-
 def _spin(chain: SubgroupChain, actors) -> None:
-    """Close the deepest level of the chain under conjugation by the actors.
+    """Close the deepest level of the chain under conjugation by the actors,
+    given as leaf permutations.
 
     For h in St(n-1) with level-(n-1) labels v, the labels of g h g^-1 are
     v[sigma_g], where sigma_g is g's action on the level-(n-1) vertices, and
     g^-1 acts as a power of g. So the level is an F_p-subspace to spin: every
     row, the ones the spin adds included, is permuted by every sigma_g, one
     actor at a time, reduced by the level's rows and, when something is
-    left, brought to echelon form and appended with the portrait of its row.
+    left, brought to echelon form and appended as one stack of rows.
     Returns before any matrix work when there is nothing to spin: depth at
     most 1, an empty deepest level, or only actors that fix level n-1.
     """
     p, depth = chain.p, chain.depth
-    if depth <= 1 or not chain.levels[-1]:
+    if depth <= 1 or not len(chain.levels[-1]):
         return
-    ident = identity_perm(p, depth - 1)
     sigmas: dict[bytes, np.ndarray] = {}
     for g in actors:
-        sigma = g.perm[::p] // p
-        if not np.array_equal(sigma, ident):
+        sigma = g[::p] // p
+        if not np.array_equal(sigma, identity_perm(p, depth - 1)):
             sigmas.setdefault(sigma.tobytes(), sigma)
-    if not sigmas:
-        return
     lv = chain.levels[-1]
-    firsts, shifts = _deepest_rotations(p, depth)
     done = 0
-    while done < len(lv):
-        fresh = np.array([row for _, row, _ in lv[done:]], dtype=np.int16)
-        done = len(lv)
+    while sigmas and done < len(lv):
+        fresh, done = lv.rows[done:], len(lv)
         for sigma in sigmas.values():
-            cols, _, ech, _ = chain._level_state(depth - 1)
+            cols, _, ech, _ = lv.state()
             v = fresh[:, sigma]
             v = (v - _residue_matmul(v[:, cols], ech, p)) % p
             v = v[v.any(axis=1)]
-            if not len(v):
-                continue
-            rows, new_cols = row_echelon(v, p)
-            for col, row in zip(new_cols, rows):
-                perm = (firsts + shifts[row]).reshape(-1)
-                lv.append((col, row, Portrait._from_perm(p, depth, perm)))
+            if len(v):
+                rows, new_cols = row_echelon(v, p)
+                lv.append(new_cols, rows)
 
 
 def level_kernel_chain(chain: SubgroupChain, k: int) -> SubgroupChain:
-    """Sub-chain of the elements trivial to depth k (levels below k dropped)."""
+    """Sub-chain of the elements trivial to depth k: the chain's own levels
+    k and below, shared with it, sift state included; no generators."""
     if not 0 <= k <= chain.depth:
         raise ChainError(f"kernel level {k} outside 0..{chain.depth}")
     out = SubgroupChain(chain.p, chain.depth)
-    for d in range(k, chain.depth):
-        out.levels[d] = list(chain.levels[d])
-    out.gens = tuple(out.pivots())
+    out.levels[k:] = chain.levels[k:]
     return out
 
 
@@ -575,10 +587,10 @@ def section_chain(chain: SubgroupChain, vertex: tuple[int, ...]) -> SubgroupChai
     vertex = tuple(vertex)
     width = p ** (depth - k)
     start = vertex_position(vertex, p) * width
-    stack = _pivot_stack(chain)
+    stack = chain.perms()
     if (stack[:, start] // width == start // width).all():
         return _image_chain(p, depth - k, stack[:, start : start + width] - start)
-    pivots = chain.pivots()
+    pivots = [Portrait._from_perm(p, depth, perm) for perm in stack]
     orbit: dict[tuple[int, ...], Portrait] = {vertex: Portrait.identity(p, depth)}
     frontier = deque([vertex])
     while frontier:
@@ -615,7 +627,7 @@ def block_product_chain(p: int, depth: int, k: int, sub: SubgroupChain) -> Subgr
     """
     if sub.p != p or sub.depth != depth - k:
         raise ChainError(f"a depth-{sub.depth} chain does not fit below depth {k} of depth {depth}")
-    piv = _pivot_stack(sub)
+    piv = sub.perms()
     m, width = piv.shape
     copies = np.tile(identity_perm(p, depth), (p**k * m, 1))
     for j in range(p**k):
@@ -693,7 +705,8 @@ def _chain_json(chain: SubgroupChain) -> bytes:
     """
     p = chain.p
     small = np.min_scalar_type(p - 1)
-    gens, levels = _chain_stacks(chain)
+    gens = _gen_labels(chain)
+    levels = [(lv.cols, lv.rows, lv.labels()) for lv in chain.levels]
     entries = b",".join(
         b"[%s]" % _json_rows("[", cols[:, None], ",[", rows.astype(small), "],[", reps.astype(small), "]]")
         for cols, rows, reps in levels
@@ -739,26 +752,10 @@ def _json_rows(*pieces) -> bytes:
     return out[keep][:-1].tobytes()
 
 
-def _chain_stacks(chain: SubgroupChain) -> tuple[np.ndarray, list[tuple]]:
-    """What a cache file holds, as stacks: the generators' labels and, level
-    by level, the pivot columns, rows (int64) and representatives' labels."""
-    p, depth = chain.p, chain.depth
-    levels = [
-        (
-            np.array([col for col, _, _ in lv], dtype=np.intp),
-            np.array([row for _, row, _ in lv], dtype=np.int64).reshape(len(lv), p**d),
-            _labels_of(p, depth, [rep for _, _, rep in lv]),
-        )
-        for d, lv in enumerate(chain.levels)
-    ]
-    return _labels_of(p, depth, chain.gens), levels
-
-
-def _labels_of(p: int, depth: int, portraits) -> np.ndarray:
-    """The portraits' labels as one int16 stack, read off their permutations in one gather."""
-    if not portraits:
-        return np.empty((0, label_count(p, depth)), np.int16)
-    return perm_labels(p, depth, np.array([g.perm for g in portraits])).astype(np.int16)
+def _gen_labels(chain: SubgroupChain) -> np.ndarray:
+    """The generators' labels as one int16 stack, read off their permutations in one gather."""
+    perms = np.array([g.perm for g in chain.gens], np.int32).reshape(-1, chain.p**chain.depth)
+    return perm_labels(chain.p, chain.depth, perms).astype(np.int16)
 
 
 def chain_digest(chain: SubgroupChain) -> str:
@@ -767,17 +764,18 @@ def chain_digest(chain: SubgroupChain) -> str:
     It hashes the arrays rather than their JSON text, so checking a file
     costs no second encoding of it.
     """
-    return _digest(*_chain_stacks(chain))
+    return _digest(_gen_labels(chain), [(lv.cols, lv.rows, lv.labels()) for lv in chain.levels])
 
 
 def _digest(gens: np.ndarray, levels) -> str:
-    """chain_digest of stacks as `_chain_stacks` reads them (labels int16,
-    rows int64); an empty level may be ((), (), ())."""
+    """chain_digest of the generators' labels and each level's (columns,
+    rows, representatives' labels), labels int16 and rows hashed as int64;
+    an empty level may be ((), (), ())."""
     h = hashlib.sha256(f"gens {len(gens)}".encode())
     h.update(gens.tobytes())
     for d, (cols, rows, reps) in enumerate(levels):
         h.update(f"level {d}: {len(cols)}".encode())
-        for col, row, rep in zip(cols, rows, reps):
+        for col, row, rep in zip(cols, np.asarray(rows, dtype=np.int64), reps):
             h.update(f"col {col}".encode())
             h.update(row.tobytes())
             h.update(rep.tobytes())
@@ -791,13 +789,16 @@ def _chain_from_dict(data: dict, p: int, depth: int) -> SubgroupChain:
     stack each and checked as a whole: residues mod p, no label above level
     d, level-d labels equal to the row, and the row's pivot column holding 1,
     as `_eliminate` stores them. The digest is taken over the same stacks.
+    Then each level is appended as one stack: its columns, its rows and,
+    above the deepest level, the representatives' leaf permutations, built
+    from their labels in one call.
     """
     if data["v"] != CACHE_FORMAT or data["p"] != p or data["depth"] != depth:
         raise ValueError("cache file has another format, p or depth")
     if len(data["levels"]) != depth:
         raise ValueError("cache file has the wrong number of levels")
     gens = _label_stack(p, depth, data["gens"])
-    chain = SubgroupChain(p, depth, gens=_portraits(p, depth, gens))
+    chain = SubgroupChain(p, depth, gens=tuple(Portrait(p, depth, g, _checked=True) for g in gens))
     offs = level_offsets(p, depth)
     levels = []
     for d, lv in enumerate(data["levels"]):
@@ -820,9 +821,11 @@ def _chain_from_dict(data: dict, p: int, depth: int) -> SubgroupChain:
         ):
             raise ValueError(f"cache file level {d} has an inconsistent pivot")
         levels.append((cols, rows, reps))
-        chain.levels[d] = list(zip(cols.tolist(), rows, _portraits(p, depth, reps)))
     if data["sha256"] != _digest(gens, levels):
         raise ValueError("cache file digest does not match its contents")
+    for d, (cols, rows, reps) in enumerate(levels):
+        if len(cols):
+            chain.levels[d].append(cols, rows, _perm_from_labels(p, depth, reps) if d < depth - 1 else None)
     return chain
 
 
@@ -834,10 +837,6 @@ def _label_stack(p: int, depth: int, labels) -> np.ndarray:
         raise ValueError("cache file has a portrait with the wrong labels")
     stack.setflags(write=False)
     return stack
-
-
-def _portraits(p: int, depth: int, stack: np.ndarray) -> tuple[Portrait, ...]:
-    return tuple(Portrait(p, depth, labels, _checked=True) for labels in stack)
 
 
 # -- congruence quotients ---------------------------------------------------------
@@ -902,10 +901,10 @@ class FiniteQuotient:
             return derived_chain(p, n, tuple(h.pivots()))
         if descriptor.startswith("kernel-gamma3:"):
             k = int(descriptor.split(":", 1)[1])
-            h = self.chain(f"kernel:{k}")
+            h = self.chain(f"kernel:{k}").pivots()
             hd = self.chain(f"kernel-derived:{k}")
-            seeds = _commutators(p, n, [(x, g) for x in hd.pivots() for g in h.pivots()])
-            return close_chain(p, n, seeds, conjugators=tuple(h.pivots()))
+            seeds = _commutators(p, n, [(x, g) for x in hd.pivots() for g in h])
+            return close_chain(p, n, seeds, conjugators=tuple(h))
         raise ChainError(f"unknown chain descriptor {descriptor!r}")
 
     def full(self) -> SubgroupChain:

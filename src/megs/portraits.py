@@ -66,16 +66,16 @@ def perm_labels(p: int, depth: int, perms: np.ndarray) -> np.ndarray:
 
 
 def _perm_from_labels(p: int, depth: int, labels: np.ndarray) -> np.ndarray:
-    """Leaf permutation of labelled form, built one level at a time.
+    """Leaf permutation of labelled form, or of each row of a stack, built level by level.
 
     Child x of vertex u goes to child (x + label of u) % p of u's image.
     """
     offs = level_offsets(p, depth)
     shift = np.arange(p, dtype=np.int32)
-    perm = np.zeros(1, dtype=np.int32)
+    perm = np.zeros((*labels.shape[:-1], 1), dtype=np.int32)
     for d in range(depth):
-        lab = labels[offs[d] : offs[d + 1]]
-        perm = (perm[:, None] * p + (shift + lab[:, None]) % p).ravel()
+        lab = labels[..., offs[d] : offs[d + 1], None]
+        perm = (perm[..., None] * p + (shift + lab) % p).reshape(*labels.shape[:-1], p ** (d + 1))
     return perm
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from megs import chains
 from megs.chains import (
     ChainError,
+    ChainLevel,
     ChainStore,
     DegreeGuardError,
     SubgroupChain,
@@ -33,7 +34,7 @@ from megs.checks import SUITE_DATA
 from megs.cli import main
 from megs.datum import NumericalDatum, generator_portraits
 from megs.fp import rank_mod, row_echelon
-from megs.portraits import Portrait, commutator, label_count, level_offsets
+from megs.portraits import Portrait, commutator, label_count, level_offsets, perm_labels
 
 GS = NumericalDatum.from_text("p = 3; E1 = (1, 2)")
 S22 = NumericalDatum.from_text("p = 3; E1 = (2, 2)")
@@ -198,9 +199,9 @@ def test_a_closure_makes_one_level_pass_per_batch(monkeypatch):
         calls["pass"] += 1
         return level_pass(self, perms, insert)
 
-    def counted_build(recipes, p):
+    def counted_build(recipes, p, stacks=()):
         calls["batch"] += 1
-        return build(recipes, p)
+        return build(recipes, p, stacks)
 
     monkeypatch.setattr(SubgroupChain, "_level_pass", counted_pass)
     monkeypatch.setattr(chains, "_build", counted_build)
@@ -210,6 +211,34 @@ def test_a_closure_makes_one_level_pass_per_batch(monkeypatch):
     assert calls == {"pass": 9, "batch": 9}
 
 
+def test_inverse_powers_are_built_once_per_pivot_above_the_deepest_level(monkeypatch):
+    # `_eliminate` builds them for each pivot it inserts and the level keeps
+    # that stack for its sift state.
+    calls = []
+    inverse_powers = chains._inverse_powers
+
+    def counted(perm, p):
+        calls.append(1)
+        return inverse_powers(perm, p)
+
+    monkeypatch.setattr(chains, "_inverse_powers", counted)
+    chain = quotient(S22, 6).full()
+    assert sum(chain.dims()[:-1]) == 64
+    assert len(calls) == 64
+
+
+def test_a_deepest_level_keeps_its_rows_and_no_permutations():
+    chain = quotient(S22, 5).full()
+    deepest = chain.levels[-1]
+    kept = [getattr(deepest, name) for name in ChainLevel.__slots__]
+    assert not any(isinstance(a, np.ndarray) and a.shape[-1] == 3**5 for a in kept)
+    assert deepest._unpow == []
+    # Its representatives are the portraits of its rows alone.
+    assert np.array_equal(perm_labels(3, 5, deepest.perms()), deepest.labels())
+    assert not deepest.labels()[:, : level_offsets(3, 5)[4]].any()
+    assert np.array_equal(deepest.labels()[:, level_offsets(3, 5)[4] :], deepest.rows)
+
+
 def upper_and_deepest_span(chain):
     """Digests of the generators with every level above the deepest, and of the deepest span.
 
@@ -217,8 +246,9 @@ def upper_and_deepest_span(chain):
     reduced row echelon form of the deepest rows, which only their span fixes.
     """
     upper = SubgroupChain(chain.p, chain.depth, chain.gens)
-    upper.levels[:-1] = chain.levels[:-1]
-    ech, _ = row_echelon([row for _, row, _ in chain.levels[-1]], chain.p)
+    for lv, theirs in zip(upper.levels[:-1], chain.levels):
+        lv.append(theirs.cols, theirs.rows, theirs.perms())
+    ech, _ = row_echelon(chain.levels[-1].rows, chain.p)
     return chain_digest(upper)[:16], hashlib.sha256(ech.tobytes()).hexdigest()[:16]
 
 
@@ -269,13 +299,20 @@ def test_orders_follow_the_known_formulas_beyond_brute_force(text, level, circul
     assert quotient(datum, level).order_exponent() == want
 
 
+def pivot_entries(chain, d):
+    """Level d's pivots one at a time, as (column, row, representative)."""
+    lv = chain.levels[d]
+    reps = [Portrait._from_perm(chain.p, chain.depth, perm) for perm in lv.perms()]
+    return list(zip(lv.cols.tolist(), lv.rows.astype(np.int64), reps))
+
+
 def reference_sift(chain, g):
     """The one-element sift the batched one replaced: pivot by pivot, in order."""
     p = chain.p
     residual = g
     for d in range(chain.depth):
         v = residual.level_labels(d).astype(np.int64)
-        for col, row, rep in chain.levels[d]:
+        for col, row, rep in pivot_entries(chain, d):
             c = int(v[col])
             if c:
                 v = (v - c * row) % p
@@ -338,11 +375,12 @@ def test_batched_sift_follows_levels_appended_after_a_sift():
     elements = _random_elements(3, 4, list(q.gens.values()), rng)
     partial = SubgroupChain(3, 4)
     for d, lv in enumerate(full.levels):
-        partial.levels[d].extend(lv[: len(lv) // 2])
+        half = len(lv) // 2
+        partial.levels[d].append(lv.cols[:half], lv.rows[:half], lv.perms()[:half])
     _assert_sifts_like_reference(partial, elements)
     for d, lv in enumerate(full.levels):
-        for entry in lv[len(lv) // 2 :]:
-            partial.levels[d].append(entry)
+        for j in range(len(lv) // 2, len(lv)):
+            partial.levels[d].append(lv.cols[j : j + 1], lv.rows[j : j + 1], lv.perms()[j : j + 1])
     _assert_sifts_like_reference(partial, elements)
     assert all(partial.contains(g) for g in full.pivots())
 
@@ -355,7 +393,7 @@ def _insert(chain, residual, d):
     s = pow(int(v[col]), -1, p)
     rep = residual ** s if s > 1 else residual
     row = (v * s) % p
-    chain.levels[d].append((col, row, rep))
+    chain.levels[d].append([col], [row], [rep.perm])
     return rep
 
 
@@ -370,9 +408,10 @@ def reference_close(p, depth, seeds, conjugators=()):
         rep = _insert(chain, residual, d)
         if d + 1 < depth:
             queue.append(rep ** p)
-        for e, lv in enumerate(chain.levels):
+        for e in range(depth):
             if max(d, e) + (d == e) < depth:
-                queue.extend(commutator(rep, other) for _, _, other in lv if other is not rep)
+                others = pivot_entries(chain, e)[: len(chain.levels[e]) - (e == d)]  # all but rep itself
+                queue.extend(commutator(rep, other) for _, _, other in others)
         for c in conjugators:
             queue.append(~c * rep * c)
             queue.append(c * rep * ~c)
@@ -452,7 +491,7 @@ def test_sift_raises_when_a_residual_moves_a_level_above_the_deepest():
     # The stored row says the pivot's root label is 1, but it is 2: reducing
     # a by it leaves a root label, which the deepest level must not accept.
     chain = SubgroupChain(3, 2)
-    chain.levels[0].append((0, np.array([1]), Portrait.rooted(3, 2, 2)))
+    chain.levels[0].append([0], [[1]], [Portrait.rooted(3, 2, 2).perm])
     with pytest.raises(ChainError):
         reference_sift(chain, a)
     with pytest.raises(ChainError):
@@ -469,8 +508,8 @@ def chain_to_dict(chain):
         "depth": chain.depth,
         "gens": [g.labels.tolist() for g in chain.gens],
         "levels": [
-            [[col, row.tolist(), rep.labels.tolist()] for (col, row, rep) in lv]
-            for lv in chain.levels
+            [[col, row.tolist(), rep.labels.tolist()] for col, row, rep in pivot_entries(chain, d)]
+            for d in range(chain.depth)
         ],
         "sha256": chain_digest(chain),
     }
@@ -589,6 +628,41 @@ def test_chain_store_disk_round_trip(tmp_path):
         assert reloaded.contains(g)
 
 
+@pytest.mark.parametrize("text, level", [("p = 3; E1 = (2, 2)", 4), ("p = 5; E1 = (1, 2, 0, 0)", 3)])
+@pytest.mark.parametrize("descriptor", ["full", "kernel-derived:1"])
+def test_a_reloaded_chain_sifts_like_the_chain_that_wrote_it(tmp_path, text, level, descriptor):
+    datum = NumericalDatum.from_text(text)
+    q = quotient(datum, level, store=ChainStore(cache_dir=str(tmp_path)))
+    chain = q.chain(descriptor)
+
+    def boom():
+        raise AssertionError("builder should not run on a warm cache")
+
+    reloaded = ChainStore(cache_dir=str(tmp_path)).get_or_build(datum, level, descriptor, boom)
+    rng = random.Random(f"{text}|{descriptor}")
+    members = _random_elements(datum.p, level, chain.pivots(), rng, count=8)[:8]
+    stack = np.stack([g.perm for g in members + _random_elements(datum.p, level, q.gen_list, rng)])
+    fail, residuals = chain.sift_batch(stack)
+    assert (fail >= 0).any() and (fail < 0).any()
+    reloaded_fail, reloaded_residuals = reloaded.sift_batch(stack)
+    assert np.array_equal(reloaded_fail, fail)
+    assert np.array_equal(reloaded_residuals, residuals)
+
+
+# sha256 of the bytes of a cold cache's file; any drift in the encoding shows.
+CACHE_FILE_SHA256 = [
+    ("p = 3; E1 = (2, 2)", 4, "40383b2bf18cfd23381be67b56c42847873588376d0b7c1dce67965fda150363"),
+    ("p = 5; E1 = (1, 2, 0, 0)", 3, "806223e7105883671208cfb88c5109a1ce8bd1a70b5f1fa691774c1a830f103d"),
+]
+
+
+@pytest.mark.parametrize("text, level, sha256", CACHE_FILE_SHA256)
+def test_cache_file_bytes_are_pinned(tmp_path, text, level, sha256):
+    quotient(NumericalDatum.from_text(text), level, store=ChainStore(cache_dir=str(tmp_path))).full()
+    (path,) = tmp_path.glob("chain-*.json")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
 def test_chain_store_rebuilds_corrupt_entries(tmp_path):
     store = ChainStore(cache_dir=str(tmp_path))
     chain = quotient(GS, 2, store=store).full()
@@ -612,13 +686,10 @@ def _old_format(data):
 
 
 def _digest_of(data):
-    """The digest the store writes for this content, so only the pivot checks can object."""
-    p, depth = data["p"], data["depth"]
-    chain = SubgroupChain(p, depth, gens=tuple(Portrait(p, depth, g) for g in data["gens"]))
-    for d, lv in enumerate(data["levels"]):
-        for col, row, rep in lv:
-            chain.levels[d].append((col, np.array(row, dtype=np.int64), Portrait(p, depth, rep)))
-    return chain_digest(chain)
+    """The digest the store takes of this file's own content (labels int16),
+    so only the pivot checks can object to an edit."""
+    levels = [[np.array(x, np.int16) for x in zip(*lv)] if lv else ((), (), ()) for lv in data["levels"]]
+    return chains._digest(np.array(data["gens"], np.int16), levels)
 
 
 def _edit_row_and_digest(data):
@@ -791,6 +862,9 @@ def test_level_kernels_are_views_of_the_full_chain_and_never_stored(tmp_path):
     assert [str(path) for path in tmp_path.iterdir()] == [full_path]
     assert kernel.dims() == (0, 0) + q.full().dims()[2:]
     assert kernel.pivots() == q.full().pivots()[3:]
+    # The full chain's own levels, sift state included, and no generators.
+    assert all(kernel.levels[d] is q.full().levels[d] for d in (2, 3))
+    assert kernel.gens == ()
 
 
 def test_a_kernel_file_from_an_older_cache_is_never_read(tmp_path, monkeypatch):

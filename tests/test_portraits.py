@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from megs.datum import NumericalDatum, generator_portraits
-from megs.portraits import Portrait, TreeError, commutator, label_count, level_offsets
+from megs.portraits import Portrait, TreeError, _perm_from_labels, commutator, label_count, level_offsets, perm_labels
 
 
 def sample_pool(depth=3):
@@ -296,6 +296,18 @@ def test_labels_and_leaf_permutation_round_trip(p, depth):
     if depth == 0:
         e = Portrait.identity(p, 0)
         assert e.perm.tolist() == [0] and e.labels.size == 0 and e.is_identity()
+
+
+@pytest.mark.parametrize("p, depth", CASES)
+def test_perms_from_a_stack_of_labels_are_those_of_each_row(p, depth):
+    rng = np.random.default_rng(10 * p + depth)
+    for count in (0, 1, 7):
+        stack = rng.integers(0, p, (count, label_count(p, depth)), dtype=np.int16)
+        perms = _perm_from_labels(p, depth, stack)
+        assert perms.shape == (count, p**depth) and perms.dtype == np.int32
+        for labels, perm in zip(stack, perms):
+            assert np.array_equal(perm, _perm_from_labels(p, depth, labels))
+        assert np.array_equal(perm_labels(p, depth, perms), stack)
 
 
 @pytest.mark.parametrize("p, depth", CASES)
