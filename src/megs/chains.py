@@ -883,6 +883,11 @@ class FiniteQuotient:
         )
 
     def _build(self, descriptor: str) -> SubgroupChain:
+        """Close the chain a descriptor names. `full`, `derived` and `gamma3`
+        keep every seed their definition names; `second-derived`,
+        `kernel-derived:k` and `kernel-gamma3:k`, seeded with commutators of
+        another chain's pivots, keep those that can add something
+        (`_pivot_commutators`)."""
         p, n = self.datum.p, self.level
         if descriptor == "full":
             return close_chain(p, n, self.gen_list)
@@ -892,19 +897,15 @@ class FiniteQuotient:
             d = self.chain("derived")
             seeds = _commutators(p, n, [(x, g) for x in d.pivots() for g in self.gen_list])
             return close_chain(p, n, seeds, conjugators=self.gen_list)
-        if descriptor == "second-derived":
-            d = self.chain("derived")
-            return derived_chain(p, n, tuple(d.pivots()))
-        if descriptor.startswith("kernel-derived:"):
-            k = int(descriptor.split(":", 1)[1])
-            h = self.chain(f"kernel:{k}")
-            return derived_chain(p, n, tuple(h.pivots()))
+        if descriptor == "second-derived" or descriptor.startswith("kernel-derived:"):
+            k = descriptor.partition(":")[2]
+            h = self.chain("derived" if descriptor == "second-derived" else f"kernel:{int(k)}")
+            return close_chain(p, n, _pivot_commutators(h, h), conjugators=tuple(h.pivots()))
         if descriptor.startswith("kernel-gamma3:"):
             k = int(descriptor.split(":", 1)[1])
-            h = self.chain(f"kernel:{k}").pivots()
-            hd = self.chain(f"kernel-derived:{k}")
-            seeds = _commutators(p, n, [(x, g) for x in hd.pivots() for g in h])
-            return close_chain(p, n, seeds, conjugators=tuple(h))
+            h = self.chain(f"kernel:{k}")
+            seeds = _pivot_commutators(self.chain(f"kernel-derived:{k}"), h)
+            return close_chain(p, n, seeds, conjugators=tuple(h.pivots()))
         raise ChainError(f"unknown chain descriptor {descriptor!r}")
 
     def full(self) -> SubgroupChain:
@@ -933,7 +934,8 @@ class FiniteQuotient:
 
 
 def derived_chain(p: int, depth: int, gens: tuple[Portrait, ...]) -> SubgroupChain:
-    """Chain of the derived subgroup of the group the given elements generate."""
+    """Chain of the derived subgroup of the group the given elements generate,
+    seeded with the commutator of every two of them, identities and repeats too."""
     pairs = [(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
     seeds = _commutators(p, depth, pairs)
     return close_chain(p, depth, seeds, conjugators=gens)
@@ -946,6 +948,26 @@ def _commutators(p: int, depth: int, pairs: list[tuple[Portrait, Portrait]]) -> 
         stack = _build([("comm", x.perm, y.perm) for x, y in pairs[i : i + BATCH]], p)
         out.extend(Portrait._from_perm(p, depth, perm) for perm in stack)
     return out
+
+
+def _pivot_commutators(xs: SubgroupChain, ys: SubgroupChain) -> list[Portrait]:
+    """commutator(x, y) for the pivots x of `xs` and y of `ys` (x before y when
+    they are one chain), in that order, less the seeds that add nothing: no
+    pair of two deepest pivots is formed, as in `close_chain`, since St(n-1)
+    is abelian, and no identity or repeat of an earlier seed is kept. The
+    closure is the same group; without a repeat, it may meet its pivots in
+    another order."""
+    (xp, x_top), (yp, y_top) = ((c.pivots(), sum(c.dims()[:-1])) for c in (xs, ys))
+    pairs = [
+        (x, yp[j])
+        for i, x in enumerate(xp)
+        for j in range(i + 1 if xs is ys else 0, len(yp))
+        if i < x_top or j < y_top
+    ]
+    kept = {identity_perm(xs.p, xs.depth).tobytes(): None}  # first, so the identity is never kept
+    for g in _commutators(xs.p, xs.depth, pairs):
+        kept.setdefault(g.perm.tobytes(), g)
+    return list(kept.values())[1:]
 
 
 def quotient(

@@ -979,6 +979,11 @@ def suite_plan() -> list[tuple[str, str, str, dict]]:
     For each suite datum, in table order, every check that applies to it and
     whose `suite_level` and `suite_data` keep it.
     """
+    return [(name, text, check, kwargs) for name, text, _, check, kwargs in _suite_rows()]
+
+
+def _suite_rows() -> list[tuple[str, str, NumericalDatum, str, dict]]:
+    """The rows of `suite_plan`, each with its datum, parsed once per datum."""
     rows = []
     for name, text in SUITE_DATA:
         datum = NumericalDatum.from_text(text)
@@ -996,7 +1001,7 @@ def suite_plan() -> list[tuple[str, str, str, dict]]:
             kwargs: dict = {"level": level}
             if spec.word:
                 kwargs["word"] = SUITE_WORD
-            rows.append((name, text, check, kwargs))
+            rows.append((name, text, datum, check, kwargs))
     return rows
 
 
@@ -1009,8 +1014,7 @@ def run_suite(
     if store is None:
         store = ChainStore()
     out = []
-    for name, text, check, kwargs in suite_plan():
-        datum = NumericalDatum.from_text(text)
+    for name, _, datum, check, kwargs in _suite_rows():
         report = run_check(
             check, datum, seed=seed, store=store, degree_guard=degree_guard, **kwargs
         )

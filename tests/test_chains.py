@@ -281,6 +281,79 @@ def test_upper_pivots_and_deepest_span_are_pinned(text, level, descriptor, upper
     assert upper_and_deepest_span(chain) == (upper, span)
 
 
+PIVOT_SEEDED = ["second-derived", "kernel-derived:1", "kernel-gamma3:1"]
+
+
+@pytest.mark.parametrize(
+    "text, level, descriptor, upper, span",
+    [
+        (text, level, descriptor, *digests)
+        for (text, level), row in [
+            (
+                ("p = 3; E1 = (2, 2)", 4),
+                [
+                    ("aeec97b760023f31", "e0676e44ee494156"),
+                    ("d24d40476846ad9c", "19d1f1da76e3e011"),
+                    ("5b0e933bf3d0ad16", "19d1f1da76e3e011"),
+                ],
+            ),
+            (
+                ("p = 3; E1 = (1, 0), (0, 1)", 5),
+                [
+                    ("46e69488a9f91698", "8e1d30920947e351"),
+                    ("eda8d9a480b1a868", "8e1d30920947e351"),
+                    ("3ae6519066f55d67", "8e1d30920947e351"),
+                ],
+            ),
+            (
+                ("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)", 3),
+                [
+                    ("47fb6dcff2343d47", "7bf3b4992412f018"),
+                    ("47fb6dcff2343d47", "7bf3b4992412f018"),
+                    ("47fb6dcff2343d47", "1c1ce012855fc84b"),
+                ],
+            ),
+        ]
+        for descriptor, digests in zip(PIVOT_SEEDED, row)
+    ],
+)
+def test_chains_seeded_with_pivot_commutators_keep_their_pivots(text, level, descriptor, upper, span):
+    # Values from when these chains were seeded with every commutator of two
+    # pivots. The seeds are left out (a level-0 kernel view has none), since
+    # they are what changed; the pivots above the deepest level and the span
+    # of the deepest rows must not.
+    chain = quotient(NumericalDatum.from_text(text), level).chain(descriptor)
+    assert upper_and_deepest_span(level_kernel_chain(chain, 0)) == (upper, span)
+
+
+def test_chains_seeded_with_pivot_commutators_keep_only_new_seeds():
+    q = quotient(S22, 5)
+    counts = {descriptor: len(q.chain(descriptor).gens) for descriptor in PIVOT_SEEDED}
+    # Every commutator of two pivots gave 1,891, 1,953 and 3,780 seeds.
+    assert counts == {"second-derived": 641, "kernel-derived:1": 857, "kernel-gamma3:1": 1452}
+    for descriptor in PIVOT_SEEDED:
+        keys = [g.perm.tobytes() for g in q.chain(descriptor).gens]
+        assert len(set(keys)) == len(keys)
+        assert Portrait.identity(3, 5).perm.tobytes() not in keys
+
+
+def test_a_chain_whose_seeds_all_drop_is_trivial_and_round_trips(tmp_path):
+    # Level 2 of a depth-3 quotient is the deepest, so every commutator of
+    # two pivots of `kernel:2` is trivial and none is kept.
+    store = ChainStore(cache_dir=str(tmp_path))
+    chain = quotient(S22, 3, store=store).kernel_derived(2)
+    assert chain.gens == () and chain.dims() == (0, 0, 0)
+    with open(store._path(S22, 3, "kernel-derived:2"), "rb") as fh:
+        assert json.load(fh)["gens"] == []
+
+    def boom():
+        raise AssertionError("builder should not run on a warm cache")
+
+    reloaded = ChainStore(cache_dir=str(tmp_path)).get_or_build(S22, 3, "kernel-derived:2", boom)
+    assert reloaded.gens == () and reloaded.dims() == (0, 0, 0)
+    assert chain_digest(reloaded) == chain_digest(chain)
+
+
 @pytest.mark.parametrize(
     "text, level, circulant",
     [("p = 3; E1 = (2, 2)", 6, False), ("p = 3; E1 = (1, 2)", 6, True), ("p = 5; E1 = (1, 2, 0, 0)", 5, True)],

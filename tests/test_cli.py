@@ -208,3 +208,8 @@ def test_cold_suite_matches_the_golden_output(tmp_path, capsys):
     assert main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / "suite-seed-20260817.out").read_text()
     assert report.read_bytes() == (GOLDEN / "suite-seed-20260817.json").read_bytes()
+    # The cache it leaves, with no identity or repeated seed in the chains
+    # seeded with commutators of pivots.
+    files = list((tmp_path / "cache").iterdir())
+    assert len(files) == 124
+    assert sum(path.stat().st_size for path in files) == 503_253
