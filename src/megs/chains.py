@@ -1,6 +1,8 @@
 """Exact subgroup computations in congruence quotients via the level filtration.
 
-An element of the depth-n quotient is a portrait. For a subgroup H and each
+An element of the depth-n quotient is a leaf permutation, and the chains
+take, keep and return stacks of them, one row each; a `Portrait` wraps one
+for the callers that ask for it. For a subgroup H and each
 level d, the label rows at level d of the elements of H that fix the tree to
 depth d form a linear code over F_p, because the level-d labels are additive
 on that stabilizer. A chain holds one echelon basis per level together with a
@@ -39,7 +41,7 @@ import numpy as np
 
 from .datum import NumericalDatum, generator_portraits
 from .fp import row_echelon
-from .portraits import Portrait, _perm_from_labels, identity_perm, level_offsets, perm_labels, vertex_position
+from .portraits import Portrait, _perm_from_labels, identity_perm, label_count, level_offsets, perm_labels, vertex_position
 
 
 class ChainError(RuntimeError):
@@ -149,16 +151,18 @@ class SubgroupChain:
     `levels[d]` is the `ChainLevel` of level d: the pivots' columns, rows
     and representatives as stacks, in insertion order, with the level's
     sift state. Portraits are made only for the callers that ask for them
-    (`pivots`, `elements`, `sift`). `gens` holds a closure's seeds, if any.
+    (`pivots`, `elements`, `sift`, `contains_chain`). `gens` holds a
+    closure's seeds, if any, as the int16 stack of their labels that cache
+    files store.
     """
 
     __slots__ = ("p", "depth", "levels", "gens")
 
-    def __init__(self, p: int, depth: int, gens: tuple[Portrait, ...] = ()):
+    def __init__(self, p: int, depth: int, gens=()):
         self.p = p
         self.depth = depth
         self.levels = [ChainLevel(p, depth, d) for d in range(depth)]
-        self.gens = tuple(gens)
+        self.gens = np.asarray(gens, np.int16).reshape(len(gens), label_count(p, depth))
 
     # -- measures -----------------------------------------------------------
 
@@ -370,6 +374,13 @@ def _inverse_powers(perm: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _inverses(perms: np.ndarray) -> np.ndarray:
+    """The inverse of each row of a stack of leaf permutations, by one scatter."""
+    inv = np.empty_like(perms)
+    np.put_along_axis(inv, perms, np.arange(perms.shape[1], dtype=perms.dtype), axis=1)
+    return inv
+
+
 def _unpower(work: np.ndarray, idx: np.ndarray, c: np.ndarray, powers: np.ndarray) -> None:
     """Compose row idx[i] of `work` with powers[c[i] - 1] for each c[i] > 0.
 
@@ -418,13 +429,9 @@ def _rotations(p: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
 BATCH = 64
 
 
-def close_chain(
-    p: int,
-    depth: int,
-    seeds,
-    conjugators: tuple[Portrait, ...] = (),
-) -> SubgroupChain:
-    """Chain of the subgroup generated by the seeds, closed under the conjugators.
+def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
+    """Chain of the subgroup generated by the seeds, closed under the
+    conjugators, both stacks of leaf permutations (k x p^n).
 
     Lift: a worklist of recipes, not elements: ("seed", g), ("pow", rep),
     ("comm", rep, other) and ("conj", left, rep, right) for left * rep * right;
@@ -449,11 +456,12 @@ def close_chain(
     the spun rows. So the levels above get the pivots of a worklist that
     keeps those recipes, in its order, and the deepest level gets its span.
     """
-    seeds = list(seeds)
-    chain = SubgroupChain(p, depth, gens=tuple(seeds))
+    seeds = np.asarray(seeds, np.int32).reshape(len(seeds), p**depth)
+    conjugators = np.asarray(conjugators, np.int32).reshape(len(conjugators), p**depth)
+    chain = SubgroupChain(p, depth, gens=perm_labels(p, depth, seeds))
     last = depth - 1
-    conj_pairs = [((~c).perm, c.perm) for c in conjugators]
-    queue = deque(("seed", g.perm) for g in seeds)
+    conj_pairs = list(zip(_inverses(conjugators), conjugators))
+    queue = deque(("seed", g) for g in seeds)
     while queue:
         batch = [queue.popleft() for _ in range(min(BATCH, len(queue)))]
         seen = list(chain.dims())
@@ -470,8 +478,7 @@ def close_chain(
                     queue.append(("conj", c_inv, x, c))
                     queue.append(("conj", c, x, c_inv))
             seen[d] += 1
-    upper = [x for lv in chain.levels[:last] for x in lv.perms()]
-    _spin(chain, ([g.perm for g in seeds] if len(seeds) <= len(upper) else upper) + [c.perm for c in conjugators])
+    _spin(chain, seeds, conjugators)
     return chain
 
 
@@ -480,8 +487,7 @@ def _build(recipes: list[tuple], p: int, stacks=()) -> np.ndarray:
 
     An operand (d, i) is row i of stacks[d]. Recipes of one kind are built
     together, from stacks of their operands: a product x * y is the gather
-    y[x] of each row. A commutator c = (y x)^-1 (x y), as `commutator`
-    computes it, is the scatter c[(y x)[u]] = (x y)[u].
+    y[x] of each row, and a commutator is built by `_comm`.
     """
     recipes = [[stacks[a[0]][a[1]] if isinstance(a, tuple) else a for a in item] for item in recipes]
     out = np.empty((len(recipes), len(recipes[0][1])), dtype=np.int32)
@@ -496,15 +502,23 @@ def _build(recipes: list[tuple], p: int, stacks=()) -> np.ndarray:
                 power = _mul(power, x)
             out[idx] = power
         elif kind == "comm":
-            x, y = args
-            comm = np.empty_like(x)
-            comm.ravel()[_flat(_mul(y, x))] = _mul(x, y)
-            out[idx] = comm
+            out[idx] = _comm(*args)
         elif kind == "conj":
             out[idx] = _mul(_mul(args[0], args[1]), args[2])
         else:
             out[idx] = args[0]
     return out
+
+
+def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise commutators of two stacks of leaf permutations.
+
+    c = (y x)^-1 (x y), as `commutator` computes it, is the scatter
+    c[(y x)[u]] = (x y)[u].
+    """
+    comm = np.empty_like(x)
+    comm.ravel()[_flat(_mul(y, x))] = _mul(x, y)
+    return comm
 
 
 def _image_chain(p: int, depth: int, images: np.ndarray) -> SubgroupChain:
@@ -526,9 +540,10 @@ def _image_chain(p: int, depth: int, images: np.ndarray) -> SubgroupChain:
     return chain
 
 
-def _spin(chain: SubgroupChain, actors) -> None:
-    """Close the deepest level of the chain under conjugation by the actors,
-    given as leaf permutations.
+def _spin(chain: SubgroupChain, seeds: np.ndarray, conjugators: np.ndarray) -> None:
+    """Close the deepest level of the chain under conjugation by the seeds or
+    the pivots above that level, whichever are fewer, and by the
+    conjugators, all stacks of leaf permutations.
 
     For h in St(n-1) with level-(n-1) labels v, the labels of g h g^-1 are
     v[sigma_g], where sigma_g is g's action on the level-(n-1) vertices, and
@@ -542,11 +557,14 @@ def _spin(chain: SubgroupChain, actors) -> None:
     p, depth = chain.p, chain.depth
     if depth <= 1 or not len(chain.levels[-1]):
         return
+    upper = chain.levels[:-1]
+    if len(seeds) > sum(map(len, upper)):
+        seeds = np.concatenate([lv.perms() for lv in upper])
     sigmas: dict[bytes, np.ndarray] = {}
-    for g in actors:
-        sigma = g[::p] // p
-        if not np.array_equal(sigma, identity_perm(p, depth - 1)):
-            sigmas.setdefault(sigma.tobytes(), sigma)
+    for actors in (seeds, conjugators):
+        for sigma in actors[:, ::p] // p:
+            if not np.array_equal(sigma, identity_perm(p, depth - 1)):
+                sigmas.setdefault(sigma.tobytes(), sigma)
     lv = chain.levels[-1]
     done = 0
     while sigmas and done < len(lv):
@@ -584,38 +602,41 @@ def section_chain(chain: SubgroupChain, vertex: tuple[int, ...]) -> SubgroupChai
     k = len(vertex)
     if not 0 < k <= depth:
         raise ChainError(f"vertex length {k} outside 1..{depth}")
-    vertex = tuple(vertex)
     width = p ** (depth - k)
     start = vertex_position(vertex, p) * width
     stack = chain.perms()
     if (stack[:, start] // width == start // width).all():
         return _image_chain(p, depth - k, stack[:, start : start + width] - start)
-    pivots = [Portrait._from_perm(p, depth, perm) for perm in stack]
-    orbit: dict[tuple[int, ...], Portrait] = {vertex: Portrait.identity(p, depth)}
-    frontier = deque([vertex])
+    # Vertices are positions in level k: acts[v][i] is the image of v under
+    # pivot i, and orbit[v] an element taking ours to v.
+    acts = (stack[:, ::width] // width).T
+    orbit = {start // width: identity_perm(p, depth)}
+    frontier = deque(orbit)
     while frontier:
         v = frontier.popleft()
-        t = orbit[v]
-        for g in pivots:
-            w = g.act(v)
+        for g, w in zip(stack, acts[v].tolist()):
             if w not in orbit:
-                orbit[w] = t * g
+                orbit[w] = g[orbit[v]]
                 frontier.append(w)
-    seeds = []
-    seen = set()
+    back = dict(zip(orbit, _inverses(np.stack(list(orbit.values())))))
+    seeds = {identity_perm(p, depth - k).tobytes(): None}  # first, so the identity is never kept
     for v, t in orbit.items():
-        for g in pivots:
-            sec = (t * g * ~orbit[g.act(v)]).section(vertex)
-            if sec.is_identity() or sec in seen:
-                continue
-            seen.add(sec)
-            seeds.append(sec)
-    return close_chain(p, depth - k, seeds)
+        for g, w in zip(stack, acts[v].tolist()):
+            # The section at our vertex of t * g * orbit[w]^-1, which fixes it.
+            sec = back[w][g[t[start : start + width]]] - start
+            seeds.setdefault(sec.tobytes(), sec)
+    return close_chain(p, depth - k, list(seeds.values())[1:])
 
 
-def embed_pivots(p: int, depth: int, vertex: tuple[int, ...], sub: SubgroupChain) -> list[Portrait]:
-    """Pivots of a smaller-depth chain embedded below a vertex, identity elsewhere."""
-    return [Portrait.embed(p, depth, vertex, piv) for piv in sub.pivots()]
+def planted(p: int, depth: int, perms: np.ndarray, positions) -> np.ndarray:
+    """Copies of a stack of smaller-depth leaf permutations planted below
+    the vertices at the given positions of one level, vertex by vertex,
+    each acting trivially outside its vertex's subtree (`Portrait.embed`)."""
+    m, width = perms.shape
+    copies = np.tile(identity_perm(p, depth), (len(positions) * m, 1))
+    for i, j in enumerate(positions):
+        copies[i * m : (i + 1) * m, j * width : (j + 1) * width] = perms + j * width
+    return copies
 
 
 def block_product_chain(p: int, depth: int, k: int, sub: SubgroupChain) -> SubgroupChain:
@@ -627,12 +648,7 @@ def block_product_chain(p: int, depth: int, k: int, sub: SubgroupChain) -> Subgr
     """
     if sub.p != p or sub.depth != depth - k:
         raise ChainError(f"a depth-{sub.depth} chain does not fit below depth {k} of depth {depth}")
-    piv = sub.perms()
-    m, width = piv.shape
-    copies = np.tile(identity_perm(p, depth), (p**k * m, 1))
-    for j in range(p**k):
-        copies[j * m : (j + 1) * m, j * width : (j + 1) * width] = piv + j * width
-    return _image_chain(p, depth, copies)
+    return _image_chain(p, depth, planted(p, depth, sub.perms(), range(p**k)))
 
 
 # -- persistent store -----------------------------------------------------------
@@ -705,7 +721,6 @@ def _chain_json(chain: SubgroupChain) -> bytes:
     """
     p = chain.p
     small = np.min_scalar_type(p - 1)
-    gens = _gen_labels(chain)
     levels = [(lv.cols, lv.rows, lv.labels()) for lv in chain.levels]
     entries = b",".join(
         b"[%s]" % _json_rows("[", cols[:, None], ",[", rows.astype(small), "],[", reps.astype(small), "]]")
@@ -715,9 +730,9 @@ def _chain_json(chain: SubgroupChain) -> bytes:
         CACHE_FORMAT,
         p,
         chain.depth,
-        _json_rows("[", gens.astype(small), "]"),
+        _json_rows("[", chain.gens.astype(small), "]"),
         entries,
-        _digest(gens, levels).encode(),
+        _digest(chain.gens, levels).encode(),
     )
 
 
@@ -752,19 +767,13 @@ def _json_rows(*pieces) -> bytes:
     return out[keep][:-1].tobytes()
 
 
-def _gen_labels(chain: SubgroupChain) -> np.ndarray:
-    """The generators' labels as one int16 stack, read off their permutations in one gather."""
-    perms = np.array([g.perm for g in chain.gens], np.int32).reshape(-1, chain.p**chain.depth)
-    return perm_labels(chain.p, chain.depth, perms).astype(np.int16)
-
-
 def chain_digest(chain: SubgroupChain) -> str:
     """sha256 over the generators' labels and every pivot's column, row and labels.
 
     It hashes the arrays rather than their JSON text, so checking a file
     costs no second encoding of it.
     """
-    return _digest(_gen_labels(chain), [(lv.cols, lv.rows, lv.labels()) for lv in chain.levels])
+    return _digest(chain.gens, [(lv.cols, lv.rows, lv.labels()) for lv in chain.levels])
 
 
 def _digest(gens: np.ndarray, levels) -> str:
@@ -798,7 +807,7 @@ def _chain_from_dict(data: dict, p: int, depth: int) -> SubgroupChain:
     if len(data["levels"]) != depth:
         raise ValueError("cache file has the wrong number of levels")
     gens = _label_stack(p, depth, data["gens"])
-    chain = SubgroupChain(p, depth, gens=tuple(Portrait(p, depth, g, _checked=True) for g in gens))
+    chain = SubgroupChain(p, depth, gens=gens)
     offs = level_offsets(p, depth)
     levels = []
     for d, lv in enumerate(data["levels"]):
@@ -869,7 +878,7 @@ class FiniteQuotient:
         self.level = level
         self.store = store if store is not None else ChainStore()
         self.gens = generator_portraits(datum, level)
-        self.gen_list = tuple(self.gens.values())
+        self.gen_perms = np.stack([g.perm for g in self.gens.values()])
 
     # -- chain accessors -----------------------------------------------------
 
@@ -888,24 +897,25 @@ class FiniteQuotient:
         `kernel-derived:k` and `kernel-gamma3:k`, seeded with commutators of
         another chain's pivots, keep those that can add something
         (`_pivot_commutators`)."""
-        p, n = self.datum.p, self.level
+        p, n, gens = self.datum.p, self.level, self.gen_perms
         if descriptor == "full":
-            return close_chain(p, n, self.gen_list)
+            return close_chain(p, n, gens)
         if descriptor == "derived":
-            return derived_chain(p, n, self.gen_list)
+            seeds = _commutators(gens, gens, *np.triu_indices(len(gens), 1))
+            return close_chain(p, n, seeds, conjugators=gens)
         if descriptor == "gamma3":
-            d = self.chain("derived")
-            seeds = _commutators(p, n, [(x, g) for x in d.pivots() for g in self.gen_list])
-            return close_chain(p, n, seeds, conjugators=self.gen_list)
+            d = self.chain("derived").perms()
+            seeds = _commutators(d, gens, *np.indices((len(d), len(gens))).reshape(2, -1))
+            return close_chain(p, n, seeds, conjugators=gens)
         if descriptor == "second-derived" or descriptor.startswith("kernel-derived:"):
             k = descriptor.partition(":")[2]
             h = self.chain("derived" if descriptor == "second-derived" else f"kernel:{int(k)}")
-            return close_chain(p, n, _pivot_commutators(h, h), conjugators=tuple(h.pivots()))
+            return pivot_derived_chain(h)
         if descriptor.startswith("kernel-gamma3:"):
             k = int(descriptor.split(":", 1)[1])
             h = self.chain(f"kernel:{k}")
             seeds = _pivot_commutators(self.chain(f"kernel-derived:{k}"), h)
-            return close_chain(p, n, seeds, conjugators=tuple(h.pivots()))
+            return close_chain(p, n, seeds, conjugators=h.perms())
         raise ChainError(f"unknown chain descriptor {descriptor!r}")
 
     def full(self) -> SubgroupChain:
@@ -930,44 +940,43 @@ class FiniteQuotient:
         return self.full().order_exponent()
 
     def normal_closure(self, elements) -> SubgroupChain:
-        return close_chain(self.datum.p, self.level, elements, conjugators=self.gen_list)
+        """Chain of the normal closure of the given portraits."""
+        return close_chain(self.datum.p, self.level, [g.perm for g in elements], conjugators=self.gen_perms)
 
 
-def derived_chain(p: int, depth: int, gens: tuple[Portrait, ...]) -> SubgroupChain:
-    """Chain of the derived subgroup of the group the given elements generate,
-    seeded with the commutator of every two of them, identities and repeats too."""
-    pairs = [(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
-    seeds = _commutators(p, depth, pairs)
-    return close_chain(p, depth, seeds, conjugators=gens)
+def pivot_derived_chain(h: SubgroupChain) -> SubgroupChain:
+    """Chain of the derived subgroup of the group a chain holds: seeded with
+    the commutators of its pivots that can add something
+    (`_pivot_commutators`), closed under conjugation by its pivots."""
+    return close_chain(h.p, h.depth, _pivot_commutators(h, h), conjugators=h.perms())
 
 
-def _commutators(p: int, depth: int, pairs: list[tuple[Portrait, Portrait]]) -> list[Portrait]:
-    """commutator(x, y) for each pair, built BATCH pairs to a stack."""
-    out = []
-    for i in range(0, len(pairs), BATCH):
-        stack = _build([("comm", x.perm, y.perm) for x, y in pairs[i : i + BATCH]], p)
-        out.extend(Portrait._from_perm(p, depth, perm) for perm in stack)
+def _commutators(xs: np.ndarray, ys: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """commutator(xs[i], ys[j]) for each index pair (i, j) of (ii, jj), in
+    order, as one stack, built BATCH pairs at a time."""
+    out = np.empty((len(ii), xs.shape[1]), np.int32)
+    for s in range(0, len(ii), BATCH):
+        out[s : s + BATCH] = _comm(xs[ii[s : s + BATCH]], ys[jj[s : s + BATCH]])
     return out
 
 
-def _pivot_commutators(xs: SubgroupChain, ys: SubgroupChain) -> list[Portrait]:
+def _pivot_commutators(xs: SubgroupChain, ys: SubgroupChain) -> np.ndarray:
     """commutator(x, y) for the pivots x of `xs` and y of `ys` (x before y when
     they are one chain), in that order, less the seeds that add nothing: no
     pair of two deepest pivots is formed, as in `close_chain`, since St(n-1)
     is abelian, and no identity or repeat of an earlier seed is kept. The
     closure is the same group; without a repeat, it may meet its pivots in
-    another order."""
-    (xp, x_top), (yp, y_top) = ((c.pivots(), sum(c.dims()[:-1])) for c in (xs, ys))
-    pairs = [
-        (x, yp[j])
-        for i, x in enumerate(xp)
-        for j in range(i + 1 if xs is ys else 0, len(yp))
-        if i < x_top or j < y_top
-    ]
+    another order. The commutators are built BATCH pairs at a time and only
+    those kept are stacked."""
+    (xp, x_top), (yp, y_top) = ((c.perms(), sum(c.dims()[:-1])) for c in (xs, ys))
+    ii, jj = np.indices((len(xp), len(yp))).reshape(2, -1)
+    keep = ((ii < x_top) | (jj < y_top)) & ((jj > ii) if xs is ys else True)
+    ii, jj = ii[keep], jj[keep]
     kept = {identity_perm(xs.p, xs.depth).tobytes(): None}  # first, so the identity is never kept
-    for g in _commutators(xs.p, xs.depth, pairs):
-        kept.setdefault(g.perm.tobytes(), g)
-    return list(kept.values())[1:]
+    for s in range(0, len(ii), BATCH):
+        for g in _comm(xp[ii[s : s + BATCH]], yp[jj[s : s + BATCH]]):
+            kept.setdefault(g.tobytes())
+    return np.frombuffer(b"".join(list(kept)[1:]), np.int32).reshape(-1, xp.shape[1])
 
 
 def quotient(

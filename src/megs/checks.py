@@ -31,14 +31,16 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from .chains import (
     ChainStore,
     DEFAULT_DEGREE_GUARD,
     FiniteQuotient,
     SubgroupChain,
     block_product_chain,
-    derived_chain,
-    embed_pivots,
+    pivot_derived_chain,
+    planted,
     quotient,
     section_chain,
 )
@@ -74,7 +76,7 @@ DEFAULT_SAMPLES = 20
 
 # A check function takes (datum, classification, level, quotient_at) and, as
 # its table entry asks, keyword arguments aux_level, word, seed and samples.
-# quotient_at(n) is the level-n quotient with the caller's store and guard.
+# quotient_at(n) is the level-n quotient with the call's one store and guard.
 # It returns the report fields it decides: verdict, expected, certificates,
 # notes, and the level where the report's level is not the one passed in.
 QuotientAt = Callable[[int], FiniteQuotient]
@@ -176,21 +178,21 @@ def _embedding_check(
     expected: str | None,
     notes: tuple[str, ...] = (),
 ) -> dict:
-    """Sift the pivots of chain `source` of the level-(n-1) quotient, embedded
+    """Sift the pivots of chain `source` of the level-(n-1) quotient, planted
     below the first vertex, into chain `target` of the level-n quotient."""
     source = quotient_at(level - 1).chain(source)
     target = quotient_at(level).chain(target)
-    pivots = embed_pivots(datum.p, level, (1,), source)
-    failed = [g for g in pivots if not target.contains(g)]
+    pivots = planted(datum.p, level, source.perms(), [0])
+    failed = np.flatnonzero(target.sift_batch(pivots)[0] >= 0)
     certs = {
         "source-order-exponent": source.order_exponent(),
         "target-order-exponent": target.order_exponent(),
         "pivot-count": len(pivots),
         "failed-pivot-count": len(failed),
     }
-    if failed:
-        _witness_cert(certs, "witness", failed[0])
-    return _outcome(VERIFIED if not failed else REFUTED, expected, certs, notes)
+    if len(failed):
+        _witness_cert(certs, "witness", Portrait._from_perm(datum.p, level, pivots[failed[0]]))
+    return _outcome(VERIFIED if not len(failed) else REFUTED, expected, certs, notes)
 
 
 # -- abelianization --------------------------------------------------------------
@@ -746,10 +748,8 @@ def check_constant_vector(
 
     small = quotient_at(level - 1)
     k_small = _index_p_subgroup(datum, small, fams)
-    k_small_derived = derived_chain(p, level - 1, tuple(k_small.pivots()))
-    k_derived = derived_chain(p, level, tuple(k_chain.pivots()))
-    embedded = embed_pivots(p, level, (1,), k_small_derived)
-    block_fails = sum(1 for g in embedded if not k_derived.contains(g))
+    embedded = planted(p, level, pivot_derived_chain(k_small).perms(), [0])
+    block_fails = int((pivot_derived_chain(k_chain).sift_batch(embedded)[0] >= 0).sum())
 
     rng = random.Random(seed)
     a_img = Portrait.rooted(p, level, 1)
@@ -757,7 +757,7 @@ def check_constant_vector(
     star_runs = 0
     for j in fams:
         kj = _index_p_subgroup(datum, q, (j,))
-        kj_derived = derived_chain(p, level, tuple(kj.pivots()))
+        kj_derived = pivot_derived_chain(kj)
         pivots = kj.pivots()
         for _ in range(samples):
             g = Portrait.identity(p, level)
@@ -774,12 +774,12 @@ def check_constant_vector(
 
     q2 = quotient_at(2)
     k2 = _index_p_subgroup(datum, q2, fams)
-    k2_derived = derived_chain(p, 2, tuple(k2.pivots()))
+    k2_derived = pivot_derived_chain(k2)
     k2_derived_elems = k2_derived.elements()
     intersection_ok = []
     for j in fams:
         k2j = _index_p_subgroup(datum, q2, (j,))
-        k2j_derived = derived_chain(p, 2, tuple(k2j.pivots()))
+        k2j_derived = pivot_derived_chain(k2j)
         meet = {g for g in k2_derived_elems if k2j.contains(g)}
         intersection_ok.append(meet == set(k2j_derived.elements()))
 
@@ -915,7 +915,8 @@ def run_check(
 
     The shared preamble classifies the datum (which validates it), tests the
     check's preconditions, parses and tests the witness word where the check
-    takes one, and fills in and bounds the levels.
+    takes one, and fills in and bounds the levels. Every quotient the check
+    asks for shares the store; without one, a store made for the call.
     """
     spec = CHECKS.get(name)
     if spec is None:
@@ -949,6 +950,8 @@ def run_check(
         extra["aux_level"] = aux_level
     if spec.seeded:
         extra.update(seed=seed, samples=samples)
+    if store is None:
+        store = ChainStore()
     quotient_at = partial(quotient, datum, degree_guard=degree_guard, store=store)
     fields = {"level": level, "aux_level": aux_level, "seed": extra.get("seed")}
     fields.update(spec.run(datum, cls, level, quotient_at, **extra))

@@ -26,7 +26,7 @@ from .checks import (
     run_suite,
 )
 from .datum import DatumError, NumericalDatum, classify
-from .words import ExceedsCap, GuardExceeded, WordError, order, parse_word, word_to_text
+from .words import ExceedsCap, GuardExceeded, WordError, order, order_cap, parse_word, word_to_text
 
 EXIT_OK = 0
 EXIT_DEVIATION = 1
@@ -157,7 +157,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_order(args: argparse.Namespace) -> int:
     datum = _load_datum(args.datum)
     word = parse_word(args.word, datum)
-    cap = args.cap if args.cap is not None else datum.p**12
+    cap = order_cap(datum, args.cap)
     lines = [f"datum: {datum.canonical_line()}", f"word: {args.word}"]
     payload = {
         "command": "order",

@@ -206,7 +206,7 @@ def _generator_portrait_cached(datum: NumericalDatum, j: int, i: int, depth: int
             m = (j - 1 + c) % p
             labels[offs[t + 1] + q * p + (c - 1)] = vec[m - 1] % p
         q = q * p + (s - 1)
-    return Portrait(p, depth, labels, _checked=True)
+    return Portrait(p, depth, labels)
 
 
 def generator_portrait(datum: NumericalDatum, j: int, i: int, depth: int) -> Portrait:

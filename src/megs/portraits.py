@@ -92,36 +92,32 @@ def vertex_position(vertex: tuple[int, ...], p: int) -> int:
 class Portrait:
     """Immutable depth-limited tree automorphism.
 
-    Its working form is the leaf permutation `perm`: entry u is the position
-    of the image of leaf u, so a product is one gather and an inverse one
-    scatter. The labels are read off the permutation when asked for; a
-    portrait built from labels computes its permutation when first needed.
+    It is its leaf permutation `perm`: entry u is the position of the image
+    of leaf u, so a product is one gather and an inverse one scatter. The
+    constructor takes labels, checks them and builds the permutation; the
+    labels are read off the permutation whenever they are asked for.
     """
 
-    __slots__ = ("p", "depth", "_labels", "_perm")
+    __slots__ = ("p", "depth", "perm")
 
-    def __init__(self, p: int, depth: int, labels, _checked: bool = False):
-        if not _checked:
-            if p < 2:
-                raise TreeError(f"alphabet size must be at least 2, got {p}")
-            if depth < 0:
-                raise TreeError(f"depth must be nonnegative, got {depth}")
+    def __init__(self, p: int, depth: int, labels):
+        if p < 2:
+            raise TreeError(f"alphabet size must be at least 2, got {p}")
+        if depth < 0:
+            raise TreeError(f"depth must be nonnegative, got {depth}")
         arr = np.asarray(labels, dtype=np.int16)
-        if not _checked:
-            want = label_count(p, depth)
-            if arr.shape != (want,):
-                raise TreeError(
-                    f"expected {want} labels for depth {depth}, got shape {arr.shape}"
-                )
-            if arr.size and (arr.min() < 0 or arr.max() >= p):
-                raise TreeError("labels must be residues in 0..p-1")
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.setflags(write=False)
+        want = label_count(p, depth)
+        if arr.shape != (want,):
+            raise TreeError(
+                f"expected {want} labels for depth {depth}, got shape {arr.shape}"
+            )
+        if arr.size and (arr.min() < 0 or arr.max() >= p):
+            raise TreeError("labels must be residues in 0..p-1")
+        perm = _perm_from_labels(p, depth, arr)
+        perm.setflags(write=False)
         self.p = p
         self.depth = depth
-        self._labels = arr
-        self._perm = None
+        self.perm = perm
 
     @classmethod
     def _from_perm(cls, p: int, depth: int, perm: np.ndarray) -> "Portrait":
@@ -130,8 +126,7 @@ class Portrait:
         perm.setflags(write=False)
         self.p = p
         self.depth = depth
-        self._labels = None
-        self._perm = perm
+        self.perm = perm
         return self
 
     @classmethod
@@ -141,43 +136,23 @@ class Portrait:
     @classmethod
     def rooted(cls, p: int, depth: int, k: int) -> "Portrait":
         """The automorphism a^k rotating the top-level subtrees."""
-        labels = np.zeros(label_count(p, depth), dtype=np.int16)
-        if depth > 0:
-            labels[0] = k % p
-        return cls(p, depth, labels, _checked=True)
+        leaves = p**depth
+        perm = (np.arange(leaves, dtype=np.int32) + k % p * (leaves // p)) % leaves
+        return cls._from_perm(p, depth, perm)
 
     # -- structure ----------------------------------------------------------
 
     @property
     def labels(self) -> np.ndarray:
         """Rotation label of every internal vertex in breadth-first order (int16)."""
-        if self._labels is None:
-            labels = perm_labels(self.p, self.depth, self._perm).astype(np.int16)
-            labels.setflags(write=False)
-            self._labels = labels
-        return self._labels
-
-    @property
-    def perm(self) -> np.ndarray:
-        """Leaf permutation (int32, read-only): entry u is the image of leaf u."""
-        if self._perm is None:
-            perm = _perm_from_labels(self.p, self.depth, self._labels)
-            perm.setflags(write=False)
-            self._perm = perm
-        return self._perm
+        return perm_labels(self.p, self.depth, self.perm).astype(np.int16)
 
     def level_labels(self, level: int) -> np.ndarray:
         offs = level_offsets(self.p, self.depth)
-        sl = slice(offs[level], offs[level + 1])
-        if self._labels is not None:
-            return self._labels[sl]
-        idx, div = _label_gather(self.p, self.depth)
-        return ((self._perm[idx[sl]] // div[sl]) % self.p).astype(np.int16)
+        return self.labels[offs[level] : offs[level + 1]]
 
     def is_identity(self) -> bool:
-        if self._perm is not None:
-            return np.array_equal(self._perm, identity_perm(self.p, self.depth))
-        return not self._labels.any()
+        return np.array_equal(self.perm, identity_perm(self.p, self.depth))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Portrait):
@@ -185,11 +160,11 @@ class Portrait:
         return (
             self.p == other.p
             and self.depth == other.depth
-            and self.labels.tobytes() == other.labels.tobytes()
+            and self.perm.tobytes() == other.perm.tobytes()
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.depth, self.labels.tobytes()))
+        return hash((self.p, self.depth, self.perm.tobytes()))
 
     def __repr__(self) -> str:
         return f"Portrait(p={self.p}, depth={self.depth}, labels={self.labels.tolist()})"
@@ -277,7 +252,8 @@ class Portrait:
     def truncate(self, depth: int) -> "Portrait":
         if not 0 <= depth <= self.depth:
             raise TreeError(f"cannot truncate depth {self.depth} to {depth}")
-        return Portrait(self.p, depth, self.labels[: label_count(self.p, depth)], _checked=True)
+        width = self.p ** (self.depth - depth)
+        return Portrait._from_perm(self.p, depth, self.perm[::width] // width)
 
     @classmethod
     def embed(cls, p: int, depth: int, vertex: tuple[int, ...], sub: "Portrait") -> "Portrait":

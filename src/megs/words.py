@@ -342,8 +342,14 @@ def is_trivial(word: GroupWord, datum: NumericalDatum) -> bool:
     return True
 
 
-def order(word: GroupWord, datum: NumericalDatum, cap: int = 3**12) -> int:
-    """Exact order of the word's automorphism; raises ExceedsCap beyond the cap."""
+def order_cap(datum: NumericalDatum, cap: int | None = None) -> int:
+    """The cap on an order computation: the one given, or by default p^12."""
+    return datum.p**12 if cap is None else cap
+
+
+def order(word: GroupWord, datum: NumericalDatum, cap: int | None = None) -> int:
+    """Exact order of the word's automorphism; raises ExceedsCap beyond the cap (`order_cap`)."""
+    cap = order_cap(datum, cap)
     return _order(word, datum, cap, cap)
 
 

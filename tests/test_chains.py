@@ -25,7 +25,6 @@ from megs.chains import (
     block_product_chain,
     chain_digest,
     close_chain,
-    embed_pivots,
     level_kernel_chain,
     quotient,
     section_chain,
@@ -332,9 +331,9 @@ def test_chains_seeded_with_pivot_commutators_keep_only_new_seeds():
     # Every commutator of two pivots gave 1,891, 1,953 and 3,780 seeds.
     assert counts == {"second-derived": 641, "kernel-derived:1": 857, "kernel-gamma3:1": 1452}
     for descriptor in PIVOT_SEEDED:
-        keys = [g.perm.tobytes() for g in q.chain(descriptor).gens]
+        keys = [g.tobytes() for g in q.chain(descriptor).gens]
         assert len(set(keys)) == len(keys)
-        assert Portrait.identity(3, 5).perm.tobytes() not in keys
+        assert Portrait.identity(3, 5).labels.tobytes() not in keys
 
 
 def test_a_chain_whose_seeds_all_drop_is_trivial_and_round_trips(tmp_path):
@@ -342,7 +341,7 @@ def test_a_chain_whose_seeds_all_drop_is_trivial_and_round_trips(tmp_path):
     # two pivots of `kernel:2` is trivial and none is kept.
     store = ChainStore(cache_dir=str(tmp_path))
     chain = quotient(S22, 3, store=store).kernel_derived(2)
-    assert chain.gens == () and chain.dims() == (0, 0, 0)
+    assert len(chain.gens) == 0 and chain.dims() == (0, 0, 0)
     with open(store._path(S22, 3, "kernel-derived:2"), "rb") as fh:
         assert json.load(fh)["gens"] == []
 
@@ -350,7 +349,7 @@ def test_a_chain_whose_seeds_all_drop_is_trivial_and_round_trips(tmp_path):
         raise AssertionError("builder should not run on a warm cache")
 
     reloaded = ChainStore(cache_dir=str(tmp_path)).get_or_build(S22, 3, "kernel-derived:2", boom)
-    assert reloaded.gens == () and reloaded.dims() == (0, 0, 0)
+    assert len(reloaded.gens) == 0 and reloaded.dims() == (0, 0, 0)
     assert chain_digest(reloaded) == chain_digest(chain)
 
 
@@ -472,7 +471,7 @@ def _insert(chain, residual, d):
 
 def reference_close(p, depth, seeds, conjugators=()):
     """The one-at-a-time worklist closure that also sifts every recipe of a deepest pivot."""
-    chain = SubgroupChain(p, depth, gens=tuple(seeds))
+    chain = SubgroupChain(p, depth, gens=[g.labels for g in seeds])
     queue = deque(seeds)
     while queue:
         d, residual = reference_sift(chain, queue.popleft())
@@ -499,7 +498,7 @@ def _assert_same_closure(got, want):
 def test_batched_closure_finds_the_sequential_pivots():
     for text, depth in (("p = 3; E1 = (1, 0), (0, 1)", 4), ("p = 5; E1 = (1, 2, 0, 0)", 3)):
         q = quotient(NumericalDatum.from_text(text), depth)
-        gens = q.gen_list
+        gens = list(q.gens.values())
         comms = [commutator(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
         _assert_same_closure(q.full(), reference_close(q.datum.p, depth, list(gens)))
         _assert_same_closure(q.derived(), reference_close(q.datum.p, depth, comms, conjugators=gens))
@@ -531,16 +530,16 @@ _SHORT_IF_FORWARD = [
 @given(case=seed_sets())
 # More seeds than pivots above the deepest level, so those pivots act; then
 # fewer, so the seeds act; each with and without conjugators.
-@example(case=(3, 3, list(_Q3.gen_list) + _Q3.kernel(2).pivots()[:4], []))
-@example(case=(3, 3, list(_Q3.gen_list), []))
-@example(case=(3, 3, [commutator(*_Q3.gen_list)] * 5, list(_Q3.gen_list)))
-@example(case=(3, 3, [commutator(*_Q3.gen_list)], list(_Q3.gen_list)))
+@example(case=(3, 3, list(_Q3.gens.values()) + _Q3.kernel(2).pivots()[:4], []))
+@example(case=(3, 3, list(_Q3.gens.values()), []))
+@example(case=(3, 3, [commutator(*_Q3.gens.values())] * 5, list(_Q3.gens.values())))
+@example(case=(3, 3, [commutator(*_Q3.gens.values())], list(_Q3.gens.values())))
 # A chain whose section at (3,) comes out one pivot short when the pivots'
 # sections are absorbed in level order instead of in reverse.
 @example(case=(3, 4, [Portrait(3, 4, labels) for labels in _SHORT_IF_FORWARD], []))
 def test_closure_matches_the_sequential_reference_on_random_seeds(case):
     p, depth, seeds, conjugators = case
-    got = close_chain(p, depth, seeds, conjugators=tuple(conjugators))
+    got = close_chain(p, depth, [g.perm for g in seeds], conjugators=[c.perm for c in conjugators])
     _assert_same_closure(got, reference_close(p, depth, seeds, conjugators))
     # The level-1 kernel's sections are read off its pivots; the chain's own
     # may need the closure, when a pivot moves the vertex.
@@ -579,7 +578,7 @@ def chain_to_dict(chain):
         "v": CACHE_FORMAT,
         "p": chain.p,
         "depth": chain.depth,
-        "gens": [g.labels.tolist() for g in chain.gens],
+        "gens": chain.gens.tolist(),
         "levels": [
             [[col, row.tolist(), rep.labels.tolist()] for col, row, rep in pivot_entries(chain, d)]
             for d in range(chain.depth)
@@ -643,7 +642,7 @@ def test_embed_and_block_product():
     block = block_product_chain(3, 3, 1, sub)
     assert block.order() == sub.order() ** 3
     for vertex in ((1,), (2,), (3,)):
-        for g in embed_pivots(3, 3, vertex, sub):
+        for g in (Portrait.embed(3, 3, vertex, piv) for piv in sub.pivots()):
             assert block.contains(g)
             assert g.fixes(vertex)
             assert g.section(vertex).depth == 2
@@ -714,7 +713,7 @@ def test_a_reloaded_chain_sifts_like_the_chain_that_wrote_it(tmp_path, text, lev
     reloaded = ChainStore(cache_dir=str(tmp_path)).get_or_build(datum, level, descriptor, boom)
     rng = random.Random(f"{text}|{descriptor}")
     members = _random_elements(datum.p, level, chain.pivots(), rng, count=8)[:8]
-    stack = np.stack([g.perm for g in members + _random_elements(datum.p, level, q.gen_list, rng)])
+    stack = np.stack([g.perm for g in members + _random_elements(datum.p, level, list(q.gens.values()), rng)])
     fail, residuals = chain.sift_batch(stack)
     assert (fail >= 0).any() and (fail < 0).any()
     reloaded_fail, reloaded_residuals = reloaded.sift_batch(stack)
@@ -858,7 +857,7 @@ def reference_section(chain, vertex):
                 orbit[w] = orbit[v] * g
                 frontier.append(w)
     seeds = [(t * g * ~orbit[g.act(v)]).section(vertex) for v, t in orbit.items() for g in pivots]
-    return close_chain(p, depth - len(vertex), seeds)
+    return close_chain(p, depth - len(vertex), [g.perm for g in seeds])
 
 
 def _assert_same_group(got, want):
@@ -884,7 +883,7 @@ def test_stabilizer_sections_match_brute_force(text, level):
     datum = NumericalDatum.from_text(text)
     p = datum.p
     q = quotient(datum, level)
-    gens = q.gen_list
+    gens = list(q.gens.values())
     elements = brute_closure(p, level, list(gens))
     comms = [commutator(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
     derived = brute_closure(p, level, comms, conjugators=list(gens))
@@ -921,7 +920,7 @@ def test_block_product_matches_the_closure_of_its_copies(text, depths):
         for k in range(1, depth):
             small = quotient(datum, depth - k)
             for sub in (small.full(), small.derived(), small.gamma3()):
-                seeds = [g for v in _vertices(p, k) for g in embed_pivots(p, depth, v, sub)]
+                seeds = [Portrait.embed(p, depth, v, g).perm for v in _vertices(p, k) for g in sub.pivots()]
                 got = block_product_chain(p, depth, k, sub)
                 assert got.order() == sub.order() ** (p**k)
                 _assert_same_group(got, close_chain(p, depth, seeds))
@@ -937,7 +936,7 @@ def test_level_kernels_are_views_of_the_full_chain_and_never_stored(tmp_path):
     assert kernel.pivots() == q.full().pivots()[3:]
     # The full chain's own levels, sift state included, and no generators.
     assert all(kernel.levels[d] is q.full().levels[d] for d in (2, 3))
-    assert kernel.gens == ()
+    assert len(kernel.gens) == 0
 
 
 def test_a_kernel_file_from_an_older_cache_is_never_read(tmp_path, monkeypatch):

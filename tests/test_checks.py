@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from megs import chains
 from megs.chains import ChainStore
 from megs.checks import (
     CHECK_NAMES,
@@ -118,6 +119,24 @@ def test_csp_witness_exceptional_rejects_p3():
     with pytest.raises(CheckError) as info:
         run("csp-witness-exceptional", GS, level=2)
     assert "exceptional class is empty for p = 3" in str(info.value)
+
+
+def test_run_check_without_a_store_shares_one_across_its_quotients(monkeypatch):
+    # Without a store each quotient used to get its own, and the check closed
+    # 8 chains instead of 6.
+    closures = []
+    close_chain = chains.close_chain
+
+    def counted(*args, **kwargs):
+        closures.append(args[:2])
+        return close_chain(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "close_chain", counted)
+    for store in (ChainStore(), None):
+        closures.clear()
+        report = run_check("csp-witness-exceptional", P5E, store=store)
+        assert report.verdict == VERIFIED
+        assert len(closures) == 6
 
 
 def test_fractality_levels():

@@ -18,7 +18,7 @@ CASES = [
 
 def _groups(q):
     """sympy's G and its generators, the rooted one first, as permutations of the leaves."""
-    gens = [Permutation(g.leaf_permutation().tolist()) for g in q.gen_list]
+    gens = [Permutation(g.leaf_permutation().tolist()) for g in q.gens.values()]
     return PermutationGroup(gens), gens
 
 

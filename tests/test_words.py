@@ -155,6 +155,15 @@ def test_order_exceeds_cap_for_constant_pair():
     assert info.value.cap == 3**6
 
 
+def test_order_cap_defaults_to_p_to_the_12th_for_every_p():
+    # The library used to stop at 3^12 for every p, while the CLI and the
+    # README said p^12.
+    p5 = NumericalDatum.from_text("p = 5; E1 = (1, 2, 0, 0)")
+    with pytest.raises(ExceedsCap) as info:
+        order(parse_word("a b[1]", p5), p5)
+    assert info.value.cap == 5**12
+
+
 def test_is_trivial():
     assert is_trivial(parse_word("b[1]^3", GS), GS)
     assert is_trivial(parse_word("a^3", GS), GS)
