@@ -151,9 +151,8 @@ class SubgroupChain:
     `levels[d]` is the `ChainLevel` of level d: the pivots' columns, rows
     and representatives as stacks, in insertion order, with the level's
     sift state. Portraits are made only for the callers that ask for them
-    (`pivots`, `elements`, `sift`, `contains_chain`). `gens` holds a
-    closure's seeds, if any, as the int16 stack of their labels that cache
-    files store.
+    (`pivots`, `sift`, `contains_chain`). `gens` holds a closure's seeds,
+    if any, as the int16 stack of their labels that cache files store.
     """
 
     __slots__ = ("p", "depth", "levels", "gens")
@@ -342,16 +341,18 @@ class SubgroupChain:
         bad = np.flatnonzero(fail >= 0)
         return (True, None) if not bad.size else (False, Portrait._from_perm(self.p, self.depth, perms[bad[0]]))
 
-    def elements(self, limit: int = 200000):
-        """All elements as portraits (staircase normal forms); guarded by `limit`."""
+    def elements(self, limit: int = 200000) -> np.ndarray:
+        """All elements as a stack of leaf permutations, one row each, in
+        staircase normal form: e * rep^i for each element e of the pivots
+        before rep and each i < p, in that order; guarded by `limit`."""
         if self.order() > limit:
             raise ChainError(f"enumeration of {self.order()} elements exceeds limit {limit}")
-        elems = [Portrait.identity(self.p, self.depth)]
-        for rep in self.pivots():
-            powers = [Portrait.identity(self.p, self.depth)]
+        elems = identity_perm(self.p, self.depth)[None]
+        for rep in self.perms():
+            powers = [identity_perm(self.p, self.depth)]
             for _ in range(self.p - 1):
-                powers.append(powers[-1] * rep)
-            elems = [e * q for e in elems for q in powers]
+                powers.append(rep[powers[-1]])
+            elems = np.take(np.stack(powers), elems, axis=1).transpose(1, 0, 2).reshape(-1, len(rep))
         return elems
 
 
@@ -626,6 +627,41 @@ def section_chain(chain: SubgroupChain, vertex: tuple[int, ...]) -> SubgroupChai
             sec = back[w][g[t[start : start + width]]] - start
             seeds.setdefault(sec.tobytes(), sec)
     return close_chain(p, depth - k, list(seeds.values())[1:])
+
+
+def section_exponents(chain: SubgroupChain, gen_perms: np.ndarray, k: int) -> list[int]:
+    """Order exponents of the chain's sections at the level-k vertices, in position order.
+
+    Precondition: the chain's group N is normal in the group G that the
+    stack `gen_perms` generates. A quotient's level kernels, derived
+    subgroup, third lower-central term and normal closures are normal in
+    it, and the checks pass its generators. Lemma: if g in G takes vertex
+    u to v, conjugation by g takes N's stabilizer of u onto that of v, and
+    the section at v of g^-1 h g is the section at u of h conjugated by g's
+    section at u; so the sections at u and at v have one order, and the
+    exponent is constant on each orbit of G on level k. The orbits are read
+    off the generators' action on the level-k positions; `section_chain`
+    runs once per orbit, at its smallest position, whose exponent the
+    orbit's other positions copy.
+    """
+    p = chain.p
+    if not 0 < k <= chain.depth:
+        raise ChainError(f"vertex length {k} outside 1..{chain.depth}")
+    width = p ** (chain.depth - k)
+    acts = (np.asarray(gen_perms)[:, ::width] // width).T.tolist()
+    exps: list = [None] * p**k
+    for start in range(p**k):
+        if exps[start] is not None:
+            continue
+        vertex = tuple(int(x) + 1 for x in np.unravel_index(start, (p,) * k))
+        exps[start] = exp = section_chain(chain, vertex).order_exponent()
+        frontier = [start]
+        while frontier:
+            for w in acts[frontier.pop()]:
+                if exps[w] is None:
+                    exps[w] = exp
+                    frontier.append(w)
+    return exps
 
 
 def planted(p: int, depth: int, perms: np.ndarray, positions) -> np.ndarray:

@@ -42,7 +42,7 @@ from .chains import (
     pivot_derived_chain,
     planted,
     quotient,
-    section_chain,
+    section_exponents,
 )
 from .datum import (
     HAS_CSP,
@@ -53,7 +53,7 @@ from .datum import (
     exceptional_pair,
     is_constant,
 )
-from .portraits import Portrait
+from .portraits import Portrait, identity_perm
 from .words import (
     BranchElement,
     GroupWord,
@@ -335,9 +335,7 @@ def check_subdirect(
     chain = q.derived() if route == "derived" else q.gamma3()
     full = quotient_at(level - 1)
     full_exp = full.order_exponent()
-    section_exps = [
-        section_chain(chain, (x,)).order_exponent() for x in range(1, datum.p + 1)
-    ]
+    section_exps = section_exponents(chain, q.gen_perms, 1)
     bad = [x for x, e in enumerate(section_exps, start=1) if e != full_exp]
     notes: tuple[str, ...] = ()
     if single_constant_family(datum):
@@ -568,22 +566,21 @@ def check_fractality(
     per_level = []
     first_defect = None
     for k in range(1, level):
-        kern = q.kernel(k)
         full_exp = quotient_at(level - k).order_exponent()
-        defects = 0
-        for vertex in itertools.product(range(1, datum.p + 1), repeat=k):
-            exp = section_chain(kern, vertex).order_exponent()
-            if exp != full_exp:
-                defects += 1
-                if first_defect is None:
-                    first_defect = {
-                        "k": k,
-                        "vertex": list(vertex),
-                        "section-exponent": exp,
-                        "full-exponent": full_exp,
-                    }
+        exps = section_exponents(q.kernel(k), q.gen_perms, k)
+        vertices = itertools.product(range(1, datum.p + 1), repeat=k)
+        defects = [(vertex, exp) for vertex, exp in zip(vertices, exps) if exp != full_exp]
+        if defects and first_defect is None:
+            # The smallest position of its orbit, where the section was computed.
+            vertex, exp = defects[0]
+            first_defect = {
+                "k": k,
+                "vertex": list(vertex),
+                "section-exponent": exp,
+                "full-exponent": full_exp,
+            }
         per_level.append(
-            {"k": k, "full-exponent": full_exp, "defect-count": defects}
+            {"k": k, "full-exponent": full_exp, "defect-count": len(defects)}
         )
     notes: tuple[str, ...] = ()
     # Every nonempty family is a constant singleton, one family or several.
@@ -622,12 +619,12 @@ def check_full_section_vertex(
     target_exp = None
     for d in range(1, depth_bound + 1):
         full_exp = quotient_at(level - d).order_exponent()
-        for vertex in itertools.product(range(1, datum.p + 1), repeat=d):
-            exp = section_chain(closure, vertex).order_exponent()
-            if exp == full_exp:
-                found, found_exp, target_exp = list(vertex), exp, full_exp
-                break
+        exps = section_exponents(closure, q.gen_perms, d)
+        vertices = itertools.product(range(1, datum.p + 1), repeat=d)
+        # The first full vertex in product order is the smallest of its orbit.
+        found = next((list(vertex) for vertex, exp in zip(vertices, exps) if exp == full_exp), None)
         if found is not None:
+            found_exp = target_exp = full_exp
             break
     certs = {
         "closure-order-exponent": closure.order_exponent(),
@@ -727,6 +724,35 @@ def _index_p_subgroup(
     return q.normal_closure([evaluate(w, datum, q.level) for w in words])
 
 
+def _star_products(p: int, level: int, pivots: np.ndarray, rng: random.Random, samples: int) -> np.ndarray:
+    """Seeded star products as a stack of leaf permutations, one row per sample.
+
+    A sample g is the product of 2 to 5 factors, each a random pivot (a row
+    of `pivots`) to a random power from 1 to p-1, drawn as
+    `rng.choice(pivots) ** rng.randint(1, p - 1)` would draw them; its star
+    is the product of the conjugates a^-i g a^i for i = 0, ..., p-1. The
+    draws come first, then every sample is built by one gather per factor
+    slot and every star by one per conjugate, a missing factor being the
+    identity.
+    """
+    ident = identity_perm(p, level)
+    powers = [np.tile(ident, (len(pivots), 1))]  # powers[e][i] is pivot i to the e
+    for _ in range(p - 1):
+        powers.append(np.take_along_axis(pivots, powers[-1], axis=1))
+    powers = np.stack(powers)
+    picks = np.zeros((5, samples, 2), np.intp)  # (pivot, exponent) of each factor slot
+    for s in range(samples):
+        for t in range(rng.randint(2, 5)):
+            picks[t, s] = rng.choice(range(len(pivots))), rng.randint(1, p - 1)
+    g = star = np.tile(ident, (samples, 1))
+    for slot in picks:
+        g = np.take_along_axis(powers[slot[:, 1], slot[:, 0]], g, axis=1)
+    for i in range(p):
+        twist, untwist = Portrait.rooted(p, level, i).perm, Portrait.rooted(p, level, -i).perm
+        star = np.take_along_axis(twist[g[:, untwist]], star, axis=1)
+    return star
+
+
 def check_constant_vector(
     datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt,
     seed: int, samples: int,
@@ -752,36 +778,22 @@ def check_constant_vector(
     block_fails = int((pivot_derived_chain(k_chain).sift_batch(embedded)[0] >= 0).sum())
 
     rng = random.Random(seed)
-    a_img = Portrait.rooted(p, level, 1)
     star_fails = 0
     star_runs = 0
     for j in fams:
         kj = _index_p_subgroup(datum, q, (j,))
-        kj_derived = pivot_derived_chain(kj)
-        pivots = kj.pivots()
-        for _ in range(samples):
-            g = Portrait.identity(p, level)
-            for _ in range(rng.randint(2, 5)):
-                g = g * rng.choice(pivots) ** rng.randint(1, p - 1)
-            star = Portrait.identity(p, level)
-            twist = Portrait.identity(p, level)
-            for _ in range(p):
-                star = star * g.conj(twist)
-                twist = twist * a_img
-            star_runs += 1
-            if not kj_derived.contains(star):
-                star_fails += 1
+        stars = _star_products(p, level, kj.perms(), rng, samples)
+        star_runs += len(stars)
+        star_fails += int((pivot_derived_chain(kj).sift_batch(stars)[0] >= 0).sum())
 
     q2 = quotient_at(2)
-    k2 = _index_p_subgroup(datum, q2, fams)
-    k2_derived = pivot_derived_chain(k2)
-    k2_derived_elems = k2_derived.elements()
+    k2_derived_elems = pivot_derived_chain(_index_p_subgroup(datum, q2, fams)).elements()
     intersection_ok = []
     for j in fams:
         k2j = _index_p_subgroup(datum, q2, (j,))
-        k2j_derived = pivot_derived_chain(k2j)
-        meet = {g for g in k2_derived_elems if k2j.contains(g)}
-        intersection_ok.append(meet == set(k2j_derived.elements()))
+        meet = k2_derived_elems[k2j.sift_batch(k2_derived_elems)[0] < 0]
+        want = pivot_derived_chain(k2j).elements()
+        intersection_ok.append({g.tobytes() for g in meet} == {g.tobytes() for g in want})
 
     certs = {
         "index-exponent": index_exp,

@@ -28,6 +28,7 @@ from megs.chains import (
     level_kernel_chain,
     quotient,
     section_chain,
+    section_exponents,
 )
 from megs.checks import SUITE_DATA
 from megs.cli import main
@@ -107,10 +108,10 @@ def test_section_chain_matches_brute_force():
 def test_elements_enumerates_the_subgroup():
     q = quotient(GS, 2)
     kernel = q.kernel(1)
-    listed = list(kernel.elements())
+    listed = kernel.elements()
     assert len(listed) == kernel.order() == 9
-    assert len(set(listed)) == 9
-    assert all(kernel.contains(g) for g in listed)
+    assert len({g.tobytes() for g in listed}) == 9
+    assert (kernel.sift_batch(listed)[0] < 0).all()
 
 
 def test_frozen_single_12_orders():
@@ -907,6 +908,27 @@ def test_stabilizer_sections_match_the_closed_reference_on_the_suite_data(text):
     for chain, k in ((q.kernel(1), 1), (q.derived(), 1), (q.gamma3(), 1), (q.kernel(2), 2)):
         for vertex in _vertices(datum.p, k):
             _assert_same_group(section_chain(chain, vertex), reference_section(chain, vertex))
+
+
+@pytest.mark.parametrize("text", [text for _, text in SUITE_DATA])
+def test_section_exponents_per_orbit_match_every_vertex(text):
+    # The reference is the sweep the checks ran before: a section at every
+    # vertex, in product order. The level kernels, G', gamma3 and the normal
+    # closure of `a` are normal in the quotient. The subgroup B of the
+    # directed generators, normal in the group they generate, has several
+    # orbits on a level, with exponents that differ between them.
+    datum = NumericalDatum.from_text(text)
+    store = ChainStore()
+    for level in range(2, 5 if datum.p == 3 else 4):
+        q = quotient(datum, level, store=store)
+        gens, directed = q.gen_perms, q.gen_perms[1:]
+        closure = q.normal_closure([Portrait.rooted(datum.p, level, 1)])
+        cases = [(q.kernel(k), gens, k) for k in range(1, level)] + [(q.derived(), gens, 1), (q.gamma3(), gens, 1)]
+        for k in (1, 2) if level == 4 else (1,):  # level 4, depth 2: the suite's full-section-vertex
+            cases += [(closure, gens, k), (close_chain(datum.p, level, directed), directed, k)]
+        for chain, actors, k in cases:
+            every = [section_chain(chain, vertex).order_exponent() for vertex in _vertices(datum.p, k)]
+            assert section_exponents(chain, actors, k) == every
 
 
 @pytest.mark.parametrize(

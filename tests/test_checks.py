@@ -1,23 +1,28 @@
 import json
+import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from megs import chains
-from megs.chains import ChainStore
+from megs.chains import ChainStore, quotient
 from megs.checks import (
     CHECK_NAMES,
     CHECKS,
     REFUTED,
     VERIFIED,
     CheckError,
+    _index_p_subgroup,
+    _star_products,
     run_check,
     run_suite,
     suite_plan,
 )
 from megs.cli import main
 from megs.datum import NumericalDatum, classify
+from megs.portraits import Portrait
 
 GS = NumericalDatum.from_text("p = 3; E1 = (1, 2)")
 S22 = NumericalDatum.from_text("p = 3; E1 = (2, 2)")
@@ -25,6 +30,7 @@ DEP = NumericalDatum.from_text("p = 3; E1 = (1, 2); E2 = (1, 2)")
 CONST = NumericalDatum.from_text("p = 3; E1 = (1, 1); E2 = (1, 1)")
 P5E = NumericalDatum.from_text("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)")
 P5S = NumericalDatum.from_text("p = 5; E1 = (1, 0, 0, 1)")
+CONST5 = NumericalDatum.from_text("p = 5; E1 = (1, 1, 1, 1); E2 = (2, 2, 2, 2)")
 
 STORE = ChainStore()
 
@@ -156,6 +162,28 @@ def test_constant_vector_check():
     assert r.certificates["contains-derived"] is True
     with pytest.raises(CheckError):
         run("constant-vector", GS, level=3)
+
+
+@pytest.mark.parametrize("datum, level", [(CONST, 3), (CONST, 4), (CONST5, 3)])
+def test_star_products_match_the_portrait_loop(datum, level):
+    # The loop the constant-vector check ran on portraits, kept as the reference.
+    p = datum.p
+    kj = _index_p_subgroup(datum, quotient(datum, level), (1,))
+    pivots = kj.pivots()
+    rng = random.Random(5)
+    want = []
+    for _ in range(30):
+        g = Portrait.identity(p, level)
+        for _ in range(rng.randint(2, 5)):
+            g = g * rng.choice(pivots) ** rng.randint(1, p - 1)
+        star = twist = Portrait.identity(p, level)
+        for _ in range(p):
+            star = star * g.conj(twist)
+            twist = twist * Portrait.rooted(p, level, 1)
+        want.append(star.perm)
+    got_rng = random.Random(5)
+    assert np.array_equal(_star_products(p, level, kj.perms(), got_rng, 30), np.stack(want))
+    assert got_rng.random() == rng.random()  # the same draws
 
 
 def test_full_section_vertex_and_blocks():

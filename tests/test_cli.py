@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from megs import chains
 from megs.chains import ChainError, SubgroupChain
 from megs.cli import main
 
@@ -223,3 +224,23 @@ def test_cold_suite_matches_the_golden_output(tmp_path, capsys):
     assert main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / "suite-seed-20260817.out").read_text()
     assert report.read_bytes() == (GOLDEN / "suite-seed-20260817.json").read_bytes()
+
+
+def test_a_warm_suite_takes_one_section_per_orbit(tmp_path, monkeypatch, capsys):
+    # fractality, subdirect and full-section-vertex take each normal
+    # subgroup's section once per orbit of the quotient on the level
+    # (`section_exponents`); a section at every vertex made 265 of them.
+    args = ["suite", "--seed", "20260817", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    capsys.readouterr()
+    calls = []
+    section_chain = chains.section_chain
+
+    def counting(chain, vertex):
+        calls.append(vertex)
+        return section_chain(chain, vertex)
+
+    monkeypatch.setattr(chains, "section_chain", counting)
+    assert main(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / "suite-seed-20260817.out").read_text()
+    assert len(calls) == 37

@@ -69,3 +69,14 @@ def test_full_and_derived_orders_of_random_data_match_sympy(datum):
     group, _ = _groups(q)
     assert q.full().order() == group.order()
     assert q.derived().order() == group.derived_subgroup().order()
+
+
+GAMMA3_CASES = CASES + [(datum.canonical_line(), 3) for datum in _random_p3_data(20)]
+
+
+@pytest.mark.parametrize("text, level", GAMMA3_CASES)
+def test_gamma3_orders_match_sympy(text, level):
+    # gamma3 is [G', G], the third term of the lower central series.
+    q = quotient(NumericalDatum.from_text(text), level)
+    group, _ = _groups(q)
+    assert q.gamma3().order() == group.commutator(group.derived_subgroup(), group).order()
