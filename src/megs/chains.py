@@ -31,13 +31,21 @@ order, so construction is deterministic.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections import deque
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
+
+try:  # hashlib loads OpenSSL; try the lean built-in module first, as `random` does
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .datum import NumericalDatum, generator_portraits
 from .fp import row_echelon
@@ -430,21 +438,37 @@ def _rotations(p: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
 BATCH = 64
 
 
+class Commutators(NamedTuple):
+    """Closure seeds commutator(xs[i], ys[j]) for the index pairs (i, j) of
+    (ii, jj), in order, xs and ys stacks of leaf permutations; with
+    `new_only`, less each identity and each repeat of an earlier seed."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    ii: np.ndarray
+    jj: np.ndarray
+    new_only: bool = False
+
+
 def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
     """Chain of the subgroup generated by the seeds, closed under the
-    conjugators, both stacks of leaf permutations (k x p^n).
+    conjugators: both stacks of leaf permutations (k x p^n), or the seeds
+    given as `Commutators`.
 
-    Lift: a worklist of recipes, not elements: ("seed", g), ("pow", rep),
-    ("comm", rep, other) and ("conj", left, rep, right) for left * rep * right;
-    a pivot operand is (d, i), row i of level d's stack when built, so the
-    queue keeps no older stack alive, and any other a leaf permutation. Up
-    to BATCH recipes are built as one stack (`_build`) and absorbed in one
-    level pass, which finds the pivots that sifting and inserting them one
+    Lift: the seeds, up to BATCH at a time (`_seed_batches`), then a
+    worklist of recipes, not elements: ("pow", rep), ("comm", rep, other) and
+    ("conj", left, rep, right) for left * rep * right; a pivot operand is
+    (d, i), row i of level d's stack when built, so the queue keeps no older
+    stack alive, and any other a leaf permutation. Up to BATCH recipes are
+    built as one stack (`_build`). Each batch is absorbed in one level
+    pass, which finds the pivots that sifting and inserting its rows one
     at a time would, in row order. Each pivot then enqueues its recipes as it
     would have on insertion: its commutators are taken with the prefix of
     each level that existed then. Every recipe a batch enqueues goes behind
     every recipe in the queue, so the pivots do not depend on BATCH. A pivot
     of the deepest level enqueues nothing and is no other pivot's partner.
+    The chain keeps the seeds' labels (`gens`), and never more than a batch
+    of `Commutators` seeds as permutations.
 
     Spin: `_spin` then closes the deepest level under conjugation by the
     seeds or the pivots above that level, whichever are fewer, and by the
@@ -457,17 +481,15 @@ def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
     the spun rows. So the levels above get the pivots of a worklist that
     keeps those recipes, in its order, and the deepest level gets its span.
     """
-    seeds = np.asarray(seeds, np.int32).reshape(len(seeds), p**depth)
     conjugators = np.asarray(conjugators, np.int32).reshape(len(conjugators), p**depth)
-    chain = SubgroupChain(p, depth, gens=perm_labels(p, depth, seeds))
+    chain = SubgroupChain(p, depth)
     last = depth - 1
     conj_pairs = list(zip(_inverses(conjugators), conjugators))
-    queue = deque(("seed", g) for g in seeds)
-    while queue:
-        batch = [queue.popleft() for _ in range(min(BATCH, len(queue)))]
+    queue, gens = deque(), [chain.gens]
+
+    def absorb(perms: np.ndarray) -> None:
         seen = list(chain.dims())
-        stacks = [lv.perms() for lv in chain.levels[:last]]
-        _, _, made = chain._level_pass(_build(batch, p, stacks), insert=True)
+        _, _, made = chain._level_pass(perms, insert=True)
         for _, d in made:
             if d < last:
                 x = (d, seen[d])
@@ -479,8 +501,35 @@ def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
                     queue.append(("conj", c_inv, x, c))
                     queue.append(("conj", c, x, c_inv))
             seen[d] += 1
-    _spin(chain, seeds, conjugators)
+
+    for perms, labels in _seed_batches(p, depth, seeds):
+        gens.append(labels)
+        absorb(perms)
+    while queue:
+        batch = [queue.popleft() for _ in range(min(BATCH, len(queue)))]
+        absorb(_build(batch, p, [lv.perms() for lv in chain.levels[:last]]))
+    chain.gens = np.concatenate(gens)
+    _spin(chain, conjugators)
     return chain
+
+
+def _seed_batches(p: int, depth: int, seeds):
+    """The seeds up to BATCH at a time, as (leaf permutations, int16 labels):
+    slices of a stack, or `Commutators` built from their pairs just before
+    they are needed, less identities and repeats when `new_only`."""
+    if isinstance(seeds, Commutators):
+        xs, ys, ii, jj, new_only = seeds
+        stacks = (_comm(xs[ii[s : s + BATCH]], ys[jj[s : s + BATCH]]) for s in range(0, len(ii), BATCH))
+    else:
+        seeds, new_only = np.asarray(seeds, np.int32).reshape(len(seeds), p**depth), False
+        stacks = (seeds[s : s + BATCH] for s in range(0, len(seeds), BATCH))
+    kept = {bytes(2 * label_count(p, depth))}  # the identity's labels, never kept
+    for perms in stacks:
+        labels = perm_labels(p, depth, perms).astype(np.int16)
+        if new_only:
+            new = [i for i, g in enumerate(map(np.ndarray.tobytes, labels)) if not (g in kept or kept.add(g))]
+            perms, labels = perms[new], labels[new]
+        yield perms, labels
 
 
 def _build(recipes: list[tuple], p: int, stacks=()) -> np.ndarray:
@@ -504,10 +553,8 @@ def _build(recipes: list[tuple], p: int, stacks=()) -> np.ndarray:
             out[idx] = power
         elif kind == "comm":
             out[idx] = _comm(*args)
-        elif kind == "conj":
-            out[idx] = _mul(_mul(args[0], args[1]), args[2])
         else:
-            out[idx] = args[0]
+            out[idx] = _mul(_mul(args[0], args[1]), args[2])
     return out
 
 
@@ -541,39 +588,46 @@ def _image_chain(p: int, depth: int, images: np.ndarray) -> SubgroupChain:
     return chain
 
 
-def _spin(chain: SubgroupChain, seeds: np.ndarray, conjugators: np.ndarray) -> None:
-    """Close the deepest level of the chain under conjugation by the seeds or
+def _spin(chain: SubgroupChain, conjugators: np.ndarray) -> None:
+    """Close the deepest level of the chain under conjugation by its seeds or
     the pivots above that level, whichever are fewer, and by the
-    conjugators, all stacks of leaf permutations.
+    conjugators, a stack of leaf permutations.
 
     For h in St(n-1) with level-(n-1) labels v, the labels of g h g^-1 are
     v[sigma_g], where sigma_g is g's action on the level-(n-1) vertices, and
     g^-1 acts as a power of g. So the level is an F_p-subspace to spin: every
     row, the ones the spin adds included, is permuted by every sigma_g, one
     actor at a time, reduced by the level's rows and, when something is
-    left, brought to echelon form and appended as one stack of rows.
-    Returns before any matrix work when there is nothing to spin: depth at
-    most 1, an empty deepest level, or only actors that fix level n-1.
+    left, brought to echelon form and appended as one stack of rows. A
+    seed's sigma_g is built from its labels above level n-1 (`gens`), a
+    pivot's read off its leaf permutation. The reduction v - v[cols] @ E is
+    zero on the pivot columns, where E is the identity, so it is taken on
+    the other columns only. Returns before any matrix work when there is
+    nothing to spin: depth at most 1, an empty deepest level, or only
+    actors that fix level n-1.
     """
     p, depth = chain.p, chain.depth
     if depth <= 1 or not len(chain.levels[-1]):
         return
     upper = chain.levels[:-1]
-    if len(seeds) > sum(map(len, upper)):
-        seeds = np.concatenate([lv.perms() for lv in upper])
+    if len(chain.gens) > sum(map(len, upper)):
+        actors = np.concatenate([lv.perms() for lv in upper])[:, ::p] // p
+    else:
+        actors = _perm_from_labels(p, depth - 1, chain.gens[:, : level_offsets(p, depth)[-2]])
     sigmas: dict[bytes, np.ndarray] = {}
-    for actors in (seeds, conjugators):
-        for sigma in actors[:, ::p] // p:
-            if not np.array_equal(sigma, identity_perm(p, depth - 1)):
-                sigmas.setdefault(sigma.tobytes(), sigma)
+    for sigma in (*actors, *conjugators[:, ::p] // p):
+        if not np.array_equal(sigma, identity_perm(p, depth - 1)):
+            sigmas.setdefault(sigma.tobytes(), sigma)
     lv = chain.levels[-1]
     done = 0
     while sigmas and done < len(lv):
         fresh, done = lv.rows[done:], len(lv)
         for sigma in sigmas.values():
             cols, _, ech, _ = lv.state()
+            free = np.delete(np.arange(ech.shape[1]), cols)
             v = fresh[:, sigma]
-            v = (v - _residue_matmul(v[:, cols], ech, p)) % p
+            v[:, free] = (v[:, free] - _residue_matmul(v[:, cols], ech[:, free], p)) % p
+            v[:, cols] = 0
             v = v[v.any(axis=1)]
             if len(v):
                 rows, new_cols = row_echelon(v, p)
@@ -708,9 +762,7 @@ class ChainStore:
             os.makedirs(cache_dir, exist_ok=True)
 
     def _path(self, datum: NumericalDatum, level: int, descriptor: str) -> str:
-        digest = hashlib.sha256(
-            f"{datum.to_text()}|{level}|{descriptor}".encode()
-        ).hexdigest()[:32]
+        digest = sha256(f"{datum.to_text()}|{level}|{descriptor}".encode()).hexdigest()[:32]
         return os.path.join(self.cache_dir, f"chain-{digest}.json")
 
     def get_or_build(self, datum: NumericalDatum, level: int, descriptor: str, builder) -> SubgroupChain:
@@ -816,7 +868,7 @@ def _digest(gens: np.ndarray, levels) -> str:
     """chain_digest of the generators' labels and each level's (columns,
     rows, representatives' labels), labels int16 and rows hashed as int64;
     an empty level may be ((), (), ())."""
-    h = hashlib.sha256(f"gens {len(gens)}".encode())
+    h = sha256(f"gens {len(gens)}".encode())
     h.update(gens.tobytes())
     for d, (cols, rows, reps) in enumerate(levels):
         h.update(f"level {d}: {len(cols)}".encode())
@@ -937,12 +989,11 @@ class FiniteQuotient:
         if descriptor == "full":
             return close_chain(p, n, gens)
         if descriptor == "derived":
-            seeds = _commutators(gens, gens, *np.triu_indices(len(gens), 1))
-            return close_chain(p, n, seeds, conjugators=gens)
+            return close_chain(p, n, Commutators(gens, gens, *np.triu_indices(len(gens), 1)), conjugators=gens)
         if descriptor == "gamma3":
             d = self.chain("derived").perms()
-            seeds = _commutators(d, gens, *np.indices((len(d), len(gens))).reshape(2, -1))
-            return close_chain(p, n, seeds, conjugators=gens)
+            pairs = np.indices((len(d), len(gens))).reshape(2, -1)
+            return close_chain(p, n, Commutators(d, gens, *pairs), conjugators=gens)
         if descriptor == "second-derived" or descriptor.startswith("kernel-derived:"):
             k = descriptor.partition(":")[2]
             h = self.chain("derived" if descriptor == "second-derived" else f"kernel:{int(k)}")
@@ -987,32 +1038,17 @@ def pivot_derived_chain(h: SubgroupChain) -> SubgroupChain:
     return close_chain(h.p, h.depth, _pivot_commutators(h, h), conjugators=h.perms())
 
 
-def _commutators(xs: np.ndarray, ys: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """commutator(xs[i], ys[j]) for each index pair (i, j) of (ii, jj), in
-    order, as one stack, built BATCH pairs at a time."""
-    out = np.empty((len(ii), xs.shape[1]), np.int32)
-    for s in range(0, len(ii), BATCH):
-        out[s : s + BATCH] = _comm(xs[ii[s : s + BATCH]], ys[jj[s : s + BATCH]])
-    return out
-
-
-def _pivot_commutators(xs: SubgroupChain, ys: SubgroupChain) -> np.ndarray:
+def _pivot_commutators(xs: SubgroupChain, ys: SubgroupChain) -> Commutators:
     """commutator(x, y) for the pivots x of `xs` and y of `ys` (x before y when
     they are one chain), in that order, less the seeds that add nothing: no
     pair of two deepest pivots is formed, as in `close_chain`, since St(n-1)
-    is abelian, and no identity or repeat of an earlier seed is kept. The
-    closure is the same group; without a repeat, it may meet its pivots in
-    another order. The commutators are built BATCH pairs at a time and only
-    those kept are stacked."""
+    is abelian, and the closure keeps no identity or repeat of an earlier
+    seed (`Commutators.new_only`). The closure is the same group; without a
+    repeat, it may meet its pivots in another order."""
     (xp, x_top), (yp, y_top) = ((c.perms(), sum(c.dims()[:-1])) for c in (xs, ys))
     ii, jj = np.indices((len(xp), len(yp))).reshape(2, -1)
     keep = ((ii < x_top) | (jj < y_top)) & ((jj > ii) if xs is ys else True)
-    ii, jj = ii[keep], jj[keep]
-    kept = {identity_perm(xs.p, xs.depth).tobytes(): None}  # first, so the identity is never kept
-    for s in range(0, len(ii), BATCH):
-        for g in _comm(xp[ii[s : s + BATCH]], yp[jj[s : s + BATCH]]):
-            kept.setdefault(g.tobytes())
-    return np.frombuffer(b"".join(list(kept)[1:]), np.int32).reshape(-1, xp.shape[1])
+    return Commutators(xp, yp, ii[keep], jj[keep], new_only=True)
 
 
 def quotient(

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 from collections import deque
 from itertools import product as iter_product
 
@@ -193,7 +195,7 @@ def test_pivots_do_not_depend_on_the_batch_width(batch, monkeypatch):
 
 def test_a_closure_makes_one_level_pass_per_batch(monkeypatch):
     calls = {"pass": 0, "batch": 0}
-    level_pass, build = SubgroupChain._level_pass, chains._build
+    level_pass, build, seed_batches = SubgroupChain._level_pass, chains._build, chains._seed_batches
 
     def counted_pass(self, perms, insert=False):
         calls["pass"] += 1
@@ -203,8 +205,14 @@ def test_a_closure_makes_one_level_pass_per_batch(monkeypatch):
         calls["batch"] += 1
         return build(recipes, p, stacks)
 
+    def counted_seed_batches(p, depth, seeds):
+        for batch in seed_batches(p, depth, seeds):
+            calls["batch"] += 1
+            yield batch
+
     monkeypatch.setattr(SubgroupChain, "_level_pass", counted_pass)
     monkeypatch.setattr(chains, "_build", counted_build)
+    monkeypatch.setattr(chains, "_seed_batches", counted_seed_batches)
     chain = quotient(S22, 5).full()
     assert chain.order_exponent() == 64
     # Re-sifting the rows left after each insertion would make a pass per pivot.
@@ -352,6 +360,64 @@ def test_a_chain_whose_seeds_all_drop_is_trivial_and_round_trips(tmp_path):
     reloaded = ChainStore(cache_dir=str(tmp_path)).get_or_build(S22, 3, "kernel-derived:2", boom)
     assert len(reloaded.gens) == 0 and reloaded.dims() == (0, 0, 0)
     assert chain_digest(reloaded) == chain_digest(chain)
+
+
+def stacked_seeds(seeds):
+    """The seeds a `Commutators` stands for, built and stacked all at once,
+    less identities and repeats (compared as permutations) when it says so."""
+    perms = chains._comm(seeds.xs[seeds.ii], seeds.ys[seeds.jj])
+    if not seeds.new_only:
+        return perms
+    kept = {np.arange(perms.shape[1], dtype=np.int32).tobytes(): None}  # first, so the identity is never kept
+    for g in perms:
+        kept.setdefault(g.tobytes(), g)
+    return np.array(list(kept.values())[1:], dtype=np.int32).reshape(-1, perms.shape[1])
+
+
+@pytest.mark.parametrize(
+    "text, level, descriptor, before, pairs",
+    [
+        ("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)", 4, "gamma3", "derived", 414),
+        ("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)", 4, "kernel-derived:1", "full", 3514),
+        ("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)", 4, "kernel-gamma3:1", "kernel-derived:1", 5880),
+        ("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)", 4, "second-derived", "derived", 3237),
+        ("p = 3; E1 = (2, 2)", 5, "gamma3", "derived", 124),
+        ("p = 3; E1 = (2, 2)", 5, "kernel-derived:1", "full", 1133),
+        ("p = 3; E1 = (2, 2)", 5, "kernel-gamma3:1", "kernel-derived:1", 2099),
+        ("p = 3; E1 = (2, 2)", 5, "second-derived", "derived", 1071),
+    ],
+)
+def test_commutator_seeds_are_built_once_a_batch_at_a_time(text, level, descriptor, before, pairs, monkeypatch):
+    # The closure builds each seed commutator from its index pair just before
+    # the level pass that sifts it, at most BATCH at a time, and gets the
+    # chain that stacking every seed first gave.
+    q = quotient(NumericalDatum.from_text(text), level)
+    q.chain(before)
+    rows, captured = [], {}
+    comm, close = chains._comm, chains.close_chain
+
+    def counted_comm(x, y):
+        rows.append(len(x))
+        return comm(x, y)
+
+    def capturing_close(p, depth, seeds, conjugators=()):
+        captured.update(seeds=seeds, conjugators=conjugators)
+        return close(p, depth, seeds, conjugators)
+
+    monkeypatch.setattr(chains, "_comm", counted_comm)
+    monkeypatch.setattr(chains, "close_chain", capturing_close)
+    chain = q.chain(descriptor)
+    streamed = sum(rows)
+    seeds = captured["seeds"]
+    assert isinstance(seeds, chains.Commutators) and len(seeds.ii) == pairs
+    assert max(rows) <= chains.BATCH
+    stack = stacked_seeds(seeds)
+    rows.clear()
+    reference = close(q.datum.p, level, stack, captured["conjugators"])
+    # Both closures build the same recipe commutators; the rest are the seeds.
+    assert streamed - sum(rows) == pairs
+    assert np.array_equal(chain.gens, reference.gens)
+    assert chain_digest(chain) == chain_digest(reference)
 
 
 @pytest.mark.parametrize(
@@ -734,6 +800,29 @@ def test_cache_file_bytes_are_pinned(tmp_path, text, level, sha256):
     quotient(NumericalDatum.from_text(text), level, store=ChainStore(cache_dir=str(tmp_path))).full()
     (path,) = tmp_path.glob("chain-*.json")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_importing_megs_loads_no_openssl():
+    # chains.py takes sha256 from the interpreter's built-in module, so no
+    # process that runs megs pays for loading OpenSSL through hashlib.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, megs, megs.cli; print('_hashlib' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_the_built_in_sha256_gives_the_hashlib_digests(tmp_path, monkeypatch):
+    chain = quotient(S22, 4).gamma3()
+    store = ChainStore(cache_dir=str(tmp_path))
+    built_in = chain_digest(chain), store._path(S22, 4, "gamma3")
+    monkeypatch.setattr(chains, "sha256", hashlib.sha256)
+    assert (chain_digest(chain), store._path(S22, 4, "gamma3")) == built_in
 
 
 def test_chain_store_rebuilds_corrupt_entries(tmp_path):
