@@ -50,6 +50,7 @@ except ImportError:
 from .datum import NumericalDatum, generator_portraits
 from .fp import row_echelon
 from .portraits import Portrait, _perm_from_labels, identity_perm, label_count, level_offsets, perm_labels, vertex_position
+from .portraits import perm_commutator, perm_compose, perm_invert, perm_power, perm_powers
 
 
 class ChainError(RuntimeError):
@@ -150,7 +151,7 @@ class ChainLevel:
         self._tinv = tinv
         for j in range(k, len(self._unpow)):
             if self._unpow[j] is None:
-                self._unpow[j] = _inverse_powers(self._perms[j], p)
+                self._unpow[j] = perm_powers(self._perms[j], 1 - p)
 
 
 class SubgroupChain:
@@ -307,11 +308,8 @@ class SubgroupChain:
             heads.append(v[0])
             rows.append(v[0] * s % p)
             if not last:
-                perm = work[i].copy()
-                for _ in range(s - 1):
-                    perm = perm[work[i]]
-                perms.append(perm)
-                unpow.append(_inverse_powers(perm, p))
+                perms.append(perm_power(work[i], s))
+                unpow.append(perm_powers(perms[-1], 1 - p))
             idx, v = idx[1:], v[1:]
             c = v[:, col].copy()
             if c.any():
@@ -357,10 +355,8 @@ class SubgroupChain:
             raise ChainError(f"enumeration of {self.order()} elements exceeds limit {limit}")
         elems = identity_perm(self.p, self.depth)[None]
         for rep in self.perms():
-            powers = [identity_perm(self.p, self.depth)]
-            for _ in range(self.p - 1):
-                powers.append(rep[powers[-1]])
-            elems = np.take(np.stack(powers), elems, axis=1).transpose(1, 0, 2).reshape(-1, len(rep))
+            steps = [elems, *(perm_compose(elems, power) for power in perm_powers(rep, self.p - 1))]
+            elems = np.stack(steps, axis=1).reshape(-1, len(rep))
         return elems
 
 
@@ -374,22 +370,6 @@ def _residue_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("ij,jk->ik", a.astype(wide, copy=False), b.astype(wide, copy=False))
 
 
-def _inverse_powers(perm: np.ndarray, p: int) -> np.ndarray:
-    """The leaf permutations of g^-1, ..., g^-(p-1), one row each."""
-    out = np.empty((p - 1, len(perm)), dtype=perm.dtype)
-    out[0][perm] = np.arange(len(perm))
-    for e in range(1, p - 1):
-        out[e] = out[e - 1][out[0]]
-    return out
-
-
-def _inverses(perms: np.ndarray) -> np.ndarray:
-    """The inverse of each row of a stack of leaf permutations, by one scatter."""
-    inv = np.empty_like(perms)
-    np.put_along_axis(inv, perms, np.arange(perms.shape[1], dtype=perms.dtype), axis=1)
-    return inv
-
-
 def _unpower(work: np.ndarray, idx: np.ndarray, c: np.ndarray, powers: np.ndarray) -> None:
     """Compose row idx[i] of `work` with powers[c[i] - 1] for each c[i] > 0.
 
@@ -399,21 +379,7 @@ def _unpower(work: np.ndarray, idx: np.ndarray, c: np.ndarray, powers: np.ndarra
     for e in range(1, len(powers) + 1):
         sel = idx[c == e]
         if sel.size:
-            work[sel] = np.take(work[sel], powers[e - 1], axis=1)
-
-
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise product x * y of two stacks of leaf permutations, x applied first.
-
-    Row i is y[i][x[i]], gathered from the flattened stack in one call.
-    """
-    return np.take(y, _flat(x))
-
-
-def _flat(x: np.ndarray) -> np.ndarray:
-    """Row i of a stack of leaf permutations, shifted to index row i of the flattened stack."""
-    rows, n = x.shape
-    return x + np.arange(0, rows * n, n)[:, None]
+            work[sel] = perm_compose(powers[e - 1], work[sel])
 
 
 def _deepest_perms(p: int, depth: int, rows: np.ndarray) -> np.ndarray:
@@ -484,7 +450,7 @@ def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
     conjugators = np.asarray(conjugators, np.int32).reshape(len(conjugators), p**depth)
     chain = SubgroupChain(p, depth)
     last = depth - 1
-    conj_pairs = list(zip(_inverses(conjugators), conjugators))
+    conj_pairs = list(zip(perm_invert(conjugators), conjugators))
     queue, gens = deque(), [chain.gens]
 
     def absorb(perms: np.ndarray) -> None:
@@ -519,7 +485,7 @@ def _seed_batches(p: int, depth: int, seeds):
     they are needed, less identities and repeats when `new_only`."""
     if isinstance(seeds, Commutators):
         xs, ys, ii, jj, new_only = seeds
-        stacks = (_comm(xs[ii[s : s + BATCH]], ys[jj[s : s + BATCH]]) for s in range(0, len(ii), BATCH))
+        stacks = (perm_commutator(xs[ii[s : s + BATCH]], ys[jj[s : s + BATCH]]) for s in range(0, len(ii), BATCH))
     else:
         seeds, new_only = np.asarray(seeds, np.int32).reshape(len(seeds), p**depth), False
         stacks = (seeds[s : s + BATCH] for s in range(0, len(seeds), BATCH))
@@ -536,8 +502,8 @@ def _build(recipes: list[tuple], p: int, stacks=()) -> np.ndarray:
     """The leaf permutations close_chain's recipes stand for, one row each.
 
     An operand (d, i) is row i of stacks[d]. Recipes of one kind are built
-    together, from stacks of their operands: a product x * y is the gather
-    y[x] of each row, and a commutator is built by `_comm`.
+    together, from stacks of their operands, by the leaf-permutation
+    arithmetic of `portraits`.
     """
     recipes = [[stacks[a[0]][a[1]] if isinstance(a, tuple) else a for a in item] for item in recipes]
     out = np.empty((len(recipes), len(recipes[0][1])), dtype=np.int32)
@@ -547,26 +513,12 @@ def _build(recipes: list[tuple], p: int, stacks=()) -> np.ndarray:
     for kind, idx in kinds.items():
         args = [np.array(arg) for arg in zip(*(recipes[i][1:] for i in idx))]
         if kind == "pow":
-            x = power = args[0]
-            for _ in range(p - 1):
-                power = _mul(power, x)
-            out[idx] = power
+            out[idx] = perm_power(args[0], p)
         elif kind == "comm":
-            out[idx] = _comm(*args)
+            out[idx] = perm_commutator(*args)
         else:
-            out[idx] = _mul(_mul(args[0], args[1]), args[2])
+            out[idx] = perm_compose(perm_compose(args[0], args[1]), args[2])
     return out
-
-
-def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise commutators of two stacks of leaf permutations.
-
-    c = (y x)^-1 (x y), as `commutator` computes it, is the scatter
-    c[(y x)[u]] = (x y)[u].
-    """
-    comm = np.empty_like(x)
-    comm.ravel()[_flat(_mul(y, x))] = _mul(x, y)
-    return comm
 
 
 def _image_chain(p: int, depth: int, images: np.ndarray) -> SubgroupChain:
@@ -663,24 +615,26 @@ def section_chain(chain: SubgroupChain, vertex: tuple[int, ...]) -> SubgroupChai
     if (stack[:, start] // width == start // width).all():
         return _image_chain(p, depth - k, stack[:, start : start + width] - start)
     # Vertices are positions in level k: acts[v][i] is the image of v under
-    # pivot i, and orbit[v] an element taking ours to v.
+    # pivot i, and orbit[v] where an element taking ours to v takes the leaves below ours.
     acts = (stack[:, ::width] // width).T
-    orbit = {start // width: identity_perm(p, depth)}
+    orbit = {start // width: identity_perm(p, depth)[start : start + width]}
     frontier = deque(orbit)
     while frontier:
         v = frontier.popleft()
         for g, w in zip(stack, acts[v].tolist()):
             if w not in orbit:
-                orbit[w] = g[orbit[v]]
+                orbit[w] = perm_compose(orbit[v], g)
                 frontier.append(w)
-    back = dict(zip(orbit, _inverses(np.stack(list(orbit.values())))))
-    seeds = {identity_perm(p, depth - k).tobytes(): None}  # first, so the identity is never kept
-    for v, t in orbit.items():
-        for g, w in zip(stack, acts[v].tolist()):
-            # The section at our vertex of t * g * orbit[w]^-1, which fixes it.
-            sec = back[w][g[t[start : start + width]]] - start
-            seeds.setdefault(sec.tobytes(), sec)
-    return close_chain(p, depth - k, list(seeds.values())[1:])
+    ts = np.stack(list(orbit.values()))
+    back = np.zeros((p**k, width), np.int32)  # row w: the inverse of orbit[w], from w's block back to ours
+    back[list(orbit)] = perm_invert(ts % width)
+    # Row i of v's block: the section at our vertex, which it fixes, of t * g_i * orbit[w]^-1,
+    # with t = orbit[v] and w the vertex that t * g_i takes ours to.
+    secs = perm_compose(np.concatenate([perm_compose(t, stack) for t in ts]), back.ravel())
+    # The distinct ones in first-seen order, the identity left out.
+    kept = {identity_perm(p, depth - k).tobytes()}
+    new = [i for i, g in enumerate(map(np.ndarray.tobytes, secs)) if not (g in kept or kept.add(g))]
+    return close_chain(p, depth - k, secs[new])
 
 
 def section_exponents(chain: SubgroupChain, gen_perms: np.ndarray, k: int) -> list[int]:

@@ -28,7 +28,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -53,7 +53,7 @@ from .datum import (
     exceptional_pair,
     is_constant,
 )
-from .portraits import Portrait, identity_perm
+from .portraits import Portrait, perm_compose, perm_powers
 from .words import (
     BranchElement,
     GroupWord,
@@ -731,25 +731,23 @@ def _star_products(p: int, level: int, pivots: np.ndarray, rng: random.Random, s
     of `pivots`) to a random power from 1 to p-1, drawn as
     `rng.choice(pivots) ** rng.randint(1, p - 1)` would draw them; its star
     is the product of the conjugates a^-i g a^i for i = 0, ..., p-1. The
-    draws come first, then every sample is built by one gather per factor
-    slot and every star by one per conjugate, a missing factor being the
-    identity.
+    draws come first, then every sample is built by one stack product per
+    factor slot, over the samples that have that factor, and every star by
+    one per conjugate.
     """
-    ident = identity_perm(p, level)
-    powers = [np.tile(ident, (len(pivots), 1))]  # powers[e][i] is pivot i to the e
-    for _ in range(p - 1):
-        powers.append(np.take_along_axis(pivots, powers[-1], axis=1))
-    powers = np.stack(powers)
-    picks = np.zeros((5, samples, 2), np.intp)  # (pivot, exponent) of each factor slot
+    powers = perm_powers(pivots, p - 1)  # powers[e - 1][i] is pivot i to the e
+    picks = np.zeros((5, samples, 2), np.intp)  # (pivot, exponent) of each factor slot, 0 for none
     for s in range(samples):
         for t in range(rng.randint(2, 5)):
             picks[t, s] = rng.choice(range(len(pivots))), rng.randint(1, p - 1)
-    g = star = np.tile(ident, (samples, 1))
-    for slot in picks:
-        g = np.take_along_axis(powers[slot[:, 1], slot[:, 0]], g, axis=1)
-    for i in range(p):
-        twist, untwist = Portrait.rooted(p, level, i).perm, Portrait.rooted(p, level, -i).perm
-        star = np.take_along_axis(twist[g[:, untwist]], star, axis=1)
+    g = powers[picks[0, :, 1] - 1, picks[0, :, 0]]
+    for slot in picks[1:]:
+        has = slot[:, 1] > 0
+        g[has] = perm_compose(g[has], powers[slot[has, 1] - 1, slot[has, 0]])
+    star = g
+    for i in range(1, p):
+        untwist, twist = Portrait.rooted(p, level, -i).perm, Portrait.rooted(p, level, i).perm
+        star = perm_compose(star, perm_compose(perm_compose(untwist, g), twist))
     return star
 
 
@@ -767,32 +765,33 @@ def check_constant_vector(
     """
     p = datum.p
     fams = datum.nonempty_families
-    q = quotient_at(level)
-    k_chain = _index_p_subgroup(datum, q, fams)
-    index_exp = q.order_exponent() - k_chain.order_exponent()
-    contains_derived = k_chain.contains_chain(q.derived())[0]
 
-    small = quotient_at(level - 1)
-    k_small = _index_p_subgroup(datum, small, fams)
-    embedded = planted(p, level, pivot_derived_chain(k_small).perms(), [0])
-    block_fails = int((pivot_derived_chain(k_chain).sift_batch(embedded)[0] >= 0).sum())
+    @cache  # each level's index-p subgroup of some families, or its derived subgroup, closed once a call
+    def index_p(lvl: int, families: tuple[int, ...], derived: bool = False) -> SubgroupChain:
+        if derived:
+            return pivot_derived_chain(index_p(lvl, families))
+        return _index_p_subgroup(datum, quotient_at(lvl), families)
+
+    q = quotient_at(level)
+    index_exp = q.order_exponent() - index_p(level, fams).order_exponent()
+    contains_derived = index_p(level, fams).contains_chain(q.derived())[0]
+
+    embedded = planted(p, level, index_p(level - 1, fams, derived=True).perms(), [0])
+    block_fails = int((index_p(level, fams, derived=True).sift_batch(embedded)[0] >= 0).sum())
 
     rng = random.Random(seed)
     star_fails = 0
     star_runs = 0
     for j in fams:
-        kj = _index_p_subgroup(datum, q, (j,))
-        stars = _star_products(p, level, kj.perms(), rng, samples)
+        stars = _star_products(p, level, index_p(level, (j,)).perms(), rng, samples)
         star_runs += len(stars)
-        star_fails += int((pivot_derived_chain(kj).sift_batch(stars)[0] >= 0).sum())
+        star_fails += int((index_p(level, (j,), derived=True).sift_batch(stars)[0] >= 0).sum())
 
-    q2 = quotient_at(2)
-    k2_derived_elems = pivot_derived_chain(_index_p_subgroup(datum, q2, fams)).elements()
+    k2_derived_elems = index_p(2, fams, derived=True).elements()
     intersection_ok = []
     for j in fams:
-        k2j = _index_p_subgroup(datum, q2, (j,))
-        meet = k2_derived_elems[k2j.sift_batch(k2_derived_elems)[0] < 0]
-        want = pivot_derived_chain(k2j).elements()
+        meet = k2_derived_elems[index_p(2, (j,)).sift_batch(k2_derived_elems)[0] < 0]
+        want = index_p(2, (j,), derived=True).elements()
         intersection_ok.append({g.tobytes() for g in meet} == {g.tobytes() for g in want})
 
     certs = {
@@ -961,6 +960,8 @@ def run_check(
             raise CheckError(f"{name} needs aux level > level")
         extra["aux_level"] = aux_level
     if spec.seeded:
+        if samples < 1:
+            raise CheckError(f"{name} needs samples >= 1")
         extra.update(seed=seed, samples=samples)
     if store is None:
         store = ChainStore()

@@ -79,6 +79,56 @@ def _perm_from_labels(p: int, depth: int, labels: np.ndarray) -> np.ndarray:
     return perm
 
 
+def _flat(x: np.ndarray, width: int) -> np.ndarray:
+    """Each row of positions shifted to index its own row of a flattened stack of `width`-long rows."""
+    return x if x.ndim == 1 else x + np.arange(0, len(x) * width, width)[:, None]
+
+
+def perm_compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x then y: entry u is y[x[u]]; x may also be rows of positions of any length."""
+    if y.ndim == 1:
+        return np.take(y, x)
+    if x.ndim == 1:
+        return np.take(y, x, axis=1)
+    return np.take(y, _flat(x, y.shape[1]))
+
+
+def perm_invert(x: np.ndarray) -> np.ndarray:
+    """The inverse, row by row."""
+    inv = np.empty(x.shape, x.dtype)
+    inv.ravel()[_flat(x, x.shape[-1])] = np.arange(x.shape[-1], dtype=x.dtype)
+    return inv
+
+
+def perm_power(x: np.ndarray, e: int) -> np.ndarray:
+    """x^e, row by row, for any integer e, by repeated squaring; always a new array."""
+    if e == 0:
+        return np.broadcast_to(np.arange(x.shape[-1], dtype=x.dtype), x.shape).copy()
+    base, result, e = (x if e > 0 else perm_invert(x)), None, abs(e)
+    while e:
+        if e & 1:
+            result = base if result is None else perm_compose(result, base)
+        e >>= 1
+        base = perm_compose(base, base) if e else base
+    return result.copy() if result is x else result
+
+
+def perm_powers(x: np.ndarray, e: int) -> np.ndarray:
+    """x^1, ..., x^e, or x^-1, ..., x^e for e < 0, stacked on a new first axis, exactly |e| of them."""
+    out = np.empty((abs(e), *x.shape), x.dtype)
+    for i in range(abs(e)):
+        out[i] = perm_compose(out[i - 1], out[0]) if i else (x if e > 0 else perm_invert(x))
+    return out
+
+
+def perm_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^-1 y^-1 x y, row by row: c = (y x)^-1 (x y) is the scatter c[(y x)[u]] = (x y)[u]."""
+    xy = perm_compose(x, y)
+    comm = np.empty_like(xy)
+    comm.ravel()[_flat(perm_compose(y, x), xy.shape[-1])] = xy
+    return comm
+
+
 def vertex_position(vertex: tuple[int, ...], p: int) -> int:
     """Breadth-first index of a vertex within its level."""
     q = 0
@@ -93,9 +143,9 @@ class Portrait:
     """Immutable depth-limited tree automorphism.
 
     It is its leaf permutation `perm`: entry u is the position of the image
-    of leaf u, so a product is one gather and an inverse one scatter. The
-    constructor takes labels, checks them and builds the permutation; the
-    labels are read off the permutation whenever they are asked for.
+    of leaf u. Its group operations are the `perm_*` functions, the one
+    arithmetic on leaf permutations, which the chain engine and the checks
+    share. The constructor checks labels and builds `perm`; labels are read off it.
     """
 
     __slots__ = ("p", "depth", "perm")
@@ -204,26 +254,14 @@ class Portrait:
         """Composition, self applied first."""
         if not isinstance(other, Portrait):
             return NotImplemented
-        if self.p != other.p or self.depth != other.depth:
-            raise TreeError("portraits must share alphabet and depth to compose")
-        return Portrait._from_perm(self.p, self.depth, other.perm[self.perm])
+        _require_same(self, other)
+        return Portrait._from_perm(self.p, self.depth, perm_compose(self.perm, other.perm))
 
     def __invert__(self) -> "Portrait":
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = identity_perm(self.p, self.depth)
-        return Portrait._from_perm(self.p, self.depth, inv)
+        return Portrait._from_perm(self.p, self.depth, perm_invert(self.perm))
 
     def __pow__(self, e: int) -> "Portrait":
-        if e < 0:
-            return (~self) ** (-e)
-        result = Portrait.identity(self.p, self.depth)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return Portrait._from_perm(self.p, self.depth, perm_power(self.perm, e))
 
     def conj(self, g: "Portrait") -> "Portrait":
         """Conjugate of self by g (g inverse, then self, then g)."""
@@ -294,6 +332,12 @@ class Portrait:
         return cls(p, depth, labels)
 
 
+def _require_same(x: Portrait, y: Portrait) -> None:
+    if x.p != y.p or x.depth != y.depth:
+        raise TreeError("portraits must share alphabet and depth to compose")
+
+
 def commutator(x: Portrait, y: Portrait) -> Portrait:
-    """x^-1 y^-1 x y, computed as (y x)^-1 (x y)."""
-    return ~(y * x) * (x * y)
+    """x^-1 y^-1 x y."""
+    _require_same(x, y)
+    return Portrait._from_perm(x.p, x.depth, perm_commutator(x.perm, y.perm))

@@ -223,13 +223,13 @@ def test_inverse_powers_are_built_once_per_pivot_above_the_deepest_level(monkeyp
     # `_eliminate` builds them for each pivot it inserts and the level keeps
     # that stack for its sift state.
     calls = []
-    inverse_powers = chains._inverse_powers
+    perm_powers = chains.perm_powers
 
-    def counted(perm, p):
+    def counted(x, e):
         calls.append(1)
-        return inverse_powers(perm, p)
+        return perm_powers(x, e)
 
-    monkeypatch.setattr(chains, "_inverse_powers", counted)
+    monkeypatch.setattr(chains, "perm_powers", counted)
     chain = quotient(S22, 6).full()
     assert sum(chain.dims()[:-1]) == 64
     assert len(calls) == 64
@@ -365,7 +365,7 @@ def test_a_chain_whose_seeds_all_drop_is_trivial_and_round_trips(tmp_path):
 def stacked_seeds(seeds):
     """The seeds a `Commutators` stands for, built and stacked all at once,
     less identities and repeats (compared as permutations) when it says so."""
-    perms = chains._comm(seeds.xs[seeds.ii], seeds.ys[seeds.jj])
+    perms = chains.perm_commutator(seeds.xs[seeds.ii], seeds.ys[seeds.jj])
     if not seeds.new_only:
         return perms
     kept = {np.arange(perms.shape[1], dtype=np.int32).tobytes(): None}  # first, so the identity is never kept
@@ -394,7 +394,7 @@ def test_commutator_seeds_are_built_once_a_batch_at_a_time(text, level, descript
     q = quotient(NumericalDatum.from_text(text), level)
     q.chain(before)
     rows, captured = [], {}
-    comm, close = chains._comm, chains.close_chain
+    comm, close = chains.perm_commutator, chains.close_chain
 
     def counted_comm(x, y):
         rows.append(len(x))
@@ -404,7 +404,7 @@ def test_commutator_seeds_are_built_once_a_batch_at_a_time(text, level, descript
         captured.update(seeds=seeds, conjugators=conjugators)
         return close(p, depth, seeds, conjugators)
 
-    monkeypatch.setattr(chains, "_comm", counted_comm)
+    monkeypatch.setattr(chains, "perm_commutator", counted_comm)
     monkeypatch.setattr(chains, "close_chain", capturing_close)
     chain = q.chain(descriptor)
     streamed = sum(rows)
@@ -804,17 +804,25 @@ def test_cache_file_bytes_are_pinned(tmp_path, text, level, sha256):
 
 def test_importing_megs_loads_no_openssl():
     # chains.py takes sha256 from the interpreter's built-in module, so no
-    # process that runs megs pays for loading OpenSSL through hashlib.
+    # process that runs megs pays for loading OpenSSL through hashlib. Nor
+    # does importing megs load any package outside the standard library but
+    # megs and numpy, beyond what the interpreter loaded at startup.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (
+        "import sys; before = set(sys.modules); import megs, megs.cli; print('_hashlib' in sys.modules); "
+        "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before} - set(sys.stdlib_module_names)))"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, megs, megs.cli; print('_hashlib' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=60,
         env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    openssl, packages = done.stdout.split("\n")[:2]
+    assert openssl == "False"
+    assert packages == "['megs', 'numpy']"
 
 
 def test_the_built_in_sha256_gives_the_hashlib_digests(tmp_path, monkeypatch):

@@ -164,6 +164,27 @@ def test_constant_vector_check():
         run("constant-vector", GS, level=3)
 
 
+def test_constant_vector_closes_each_subgroup_once(monkeypatch):
+    # At level 3, level - 1 is 2: the level-2 index-p subgroup of all families
+    # and its derived subgroup are closed once a call, not twice. Counted on a
+    # warm store, so only the closures the store does not keep are counted.
+    store = ChainStore()
+    first = run_check("constant-vector", CONST, level=3, store=store)
+    calls = []
+    close = chains.close_chain
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return close(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "close_chain", counted)
+    again = run_check("constant-vector", CONST, level=3, store=store)
+    # The subgroup of all families and of each one, at levels 3 and 2, each
+    # closed with its derived subgroup: 2 * 2 * (1 + 2), 14 before.
+    assert len(calls) == 12
+    assert again.to_json() == first.to_json()
+
+
 @pytest.mark.parametrize("datum, level", [(CONST, 3), (CONST, 4), (CONST5, 3)])
 def test_star_products_match_the_portrait_loop(datum, level):
     # The loop the constant-vector check ran on portraits, kept as the reference.

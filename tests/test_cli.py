@@ -84,6 +84,13 @@ def test_check_precondition_error_exits_three(capsys):
     assert "exceptional class is empty" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_samples_below_one_exit_three(capsys, samples):
+    code = main(["check", "constant-vector", "--datum", "p = 3; E1 = (1, 1); E2 = (1, 1)", "--samples", samples])
+    assert code == 3
+    assert "samples >= 1" in capsys.readouterr().err
+
+
 def test_bad_datum_exits_three(capsys):
     code = main(["classify", "--datum", "p = 4; E1 = (1, 2)"])
     assert code == 3

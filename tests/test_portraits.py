@@ -2,9 +2,24 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from megs.datum import NumericalDatum, generator_portraits
-from megs.portraits import Portrait, TreeError, _perm_from_labels, commutator, label_count, level_offsets, perm_labels
+from megs.portraits import (
+    Portrait,
+    TreeError,
+    _perm_from_labels,
+    commutator,
+    label_count,
+    level_offsets,
+    perm_commutator,
+    perm_compose,
+    perm_invert,
+    perm_labels,
+    perm_power,
+    perm_powers,
+)
 
 
 def sample_pool(depth=3):
@@ -356,3 +371,63 @@ def test_action_and_tree_surgery_match_the_labelled_form(p, depth):
             sub = random_labels(rng, p, depth - k)
             for s in (Portrait(p, depth - k, sub), Portrait.identity(p, depth - k) * Portrait(p, depth - k, sub)):
                 assert same(Portrait.embed(p, depth, v, s), ref_embed(p, depth, v, sub))
+
+
+GENERATORS = {3: NumericalDatum.from_text("p = 3; E1 = (1, 2)"), 5: NumericalDatum.from_text("p = 5; E1 = (1, 2, 0, 0)")}
+
+
+@st.composite
+def product_stacks(draw):
+    """p, depth and two equally long lists of random products of generator powers."""
+    p = draw(st.sampled_from([3, 5]))
+    depth = draw(st.integers(1, 3))
+    gens = list(generator_portraits(GENERATORS[p], depth).values())
+    factors = st.tuples(st.sampled_from(range(len(gens))), st.integers(1, p - 1))
+
+    def product():
+        g = Portrait.identity(p, depth)
+        for i, e in draw(st.lists(factors, max_size=6)):
+            g = g * gens[i] ** e
+        return g
+
+    rows = draw(st.integers(1, 4))
+    return p, depth, [product() for _ in range(rows)], [product() for _ in range(rows)]
+
+
+@given(case=product_stacks())
+def test_permutation_arithmetic_matches_the_portraits_row_by_row(case):
+    p, depth, xs, ys = case
+    x, y = np.stack([g.perm for g in xs]), np.stack([g.perm for g in ys])
+
+    def same(stack, want):
+        assert np.array_equal(stack, np.stack([g.perm for g in want]))
+
+    same(perm_compose(x, y), [g * h for g, h in zip(xs, ys)])
+    same(perm_compose(x[0], y), [xs[0] * h for h in ys])
+    same(perm_compose(x, y[0]), [g * ys[0] for g in xs])
+    same(perm_invert(x), [~g for g in xs])
+    same(perm_commutator(x, y), [commutator(g, h) for g, h in zip(xs, ys)])
+    same(perm_commutator(x, y), [~g * ~h * g * h for g, h in zip(xs, ys)])
+    # The labelled form agrees, independently of the permutations.
+    pairs = [(g.labels.astype(np.int64), h.labels.astype(np.int64)) for g, h in zip(xs, ys)]
+    assert np.array_equal(perm_labels(p, depth, perm_compose(x, y)), [ref_mul(p, depth, a, b) for a, b in pairs])
+    assert np.array_equal(perm_labels(p, depth, perm_invert(x)), [ref_inv(p, depth, a) for a, _ in pairs])
+    assert np.array_equal(perm_labels(p, depth, perm_power(x, -2)), [ref_pow(p, depth, a, -2) for a, _ in pairs])
+    for e in (-2, 0, 1, p, p * p):
+        same(perm_power(x, e), [g**e for g in xs])
+        assert np.array_equal(perm_power(x[0], e), perm_power(x[:1], e)[0])
+    assert not np.shares_memory(perm_power(x, 1), x)
+    table = perm_powers(x, p)
+    assert table.shape == (p, *x.shape) and table.base is None
+    same(table.reshape(-1, p**depth), [g**e for e in range(1, p + 1) for g in xs])
+    assert np.array_equal(perm_powers(x[0], p), table[:, 0])
+    inverse_table = perm_powers(x, 1 - p)
+    assert inverse_table.shape == (p - 1, *x.shape) and inverse_table.base is None
+    same(inverse_table.reshape(-1, p**depth), [g**-e for e in range(1, p) for g in xs])
+    # One permutation gives what a stack of it alone gives.
+    for got, one_row in [
+        (perm_compose(x[0], y[0]), perm_compose(x[:1], y[:1])),
+        (perm_invert(x[0]), perm_invert(x[:1])),
+        (perm_commutator(x[0], y[0]), perm_commutator(x[:1], y[:1])),
+    ]:
+        assert np.array_equal(got, one_row[0])
