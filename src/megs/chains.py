@@ -21,9 +21,9 @@ inserting the elements one at a time.
 
 Chains are built in two steps. A worklist closure lifts the levels above the
 deepest: inserting a pivot there enqueues its p-th power, its commutators
-with the other pivots above the deepest level, and, for normal closures, its
-conjugates by the designated conjugating elements; the worklist is built and
-taken in a batch at a time. The deepest level is then spun: its rows form an
+with the earlier pivots of its own level, and its commutator with each
+generating or conjugating element; the worklist is built and taken in a
+batch at a time. The deepest level is then spun: its rows form an
 F_p-subspace that conjugation permutes, so it is closed under a few label
 permutations instead of by sifting commutators. Both steps run in a fixed
 order, so construction is deterministic.
@@ -421,36 +421,54 @@ def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
     conjugators: both stacks of leaf permutations (k x p^n), or the seeds
     given as `Commutators`.
 
+    The actors are the conjugators and, when the seeds are a stack, the
+    seeds, less repeats. Precondition: every seed lies in the actors'
+    group; `Commutators` seeds must be commutators of elements of the
+    conjugators' group, as the quotients' descriptors build them.
+
     Lift: the seeds, up to BATCH at a time (`_seed_batches`), then a
-    worklist of recipes, not elements: ("pow", rep), ("comm", rep, other) and
-    ("conj", left, rep, right) for left * rep * right; a pivot operand is
-    (d, i), row i of level d's stack when built, so the queue keeps no older
-    stack alive, and any other a leaf permutation. Up to BATCH recipes are
-    built as one stack (`_build`). Each batch is absorbed in one level
-    pass, which finds the pivots that sifting and inserting its rows one
-    at a time would, in row order. Each pivot then enqueues its recipes as it
-    would have on insertion: its commutators are taken with the prefix of
-    each level that existed then. Every recipe a batch enqueues goes behind
-    every recipe in the queue, so the pivots do not depend on BATCH. A pivot
-    of the deepest level enqueues nothing and is no other pivot's partner.
-    The chain keeps the seeds' labels (`gens`), and never more than a batch
-    of `Commutators` seeds as permutations.
+    worklist of recipes, not elements: ("pow", x) and ("comm", x, y); a
+    pivot operand is (d, i), row i of level d's stack when built, so the
+    queue keeps no older stack alive, and an actor is its leaf permutation.
+    A pivot x inserted at a level d above the deepest enqueues x^p, its
+    commutators with the earlier pivots of level d and its commutator with
+    each actor. Up to BATCH recipes are built as one stack (`_build`) and
+    absorbed in one level pass, which finds the pivots that sifting and
+    inserting its rows one at a time would, in row order; each pivot then
+    enqueues its recipes as it would have on insertion. Every recipe a
+    batch enqueues goes behind every recipe in the queue, so the pivots do
+    not depend on BATCH. The chain keeps the seeds' labels (`gens`), and
+    never more than a batch of `Commutators` seeds as permutations.
+
+    These recipes suffice, by descending induction on d. Suppose every
+    actor normalizes the group N of the pivots below level d. Every pivot
+    lies in the actors' group, so it normalizes N; the powers and
+    same-level commutators of level d's pivots lie in St(d+1) and sift
+    into N, so those pivots are elementary abelian modulo N; and x^s =
+    x * commutator(x, s) keeps the group of level d and below invariant
+    under each actor s. So a commutator of pivots of two levels already
+    lies in the chain.
 
     Spin: `_spin` then closes the deepest level under conjugation by the
     seeds or the pivots above that level, whichever are fewer, and by the
     conjugators. The group is generated by either set together with the
     deepest level (with the conjugators' conjugates of the seeds, for a
     normal closure), and the deepest level, in the abelian St(n-1), acts
-    trivially on itself. This stands in for every recipe left out: a p-th
-    power or a commutator of two deepest pivots is trivial, comm(x, h) =
-    (h^-1)^x * h for h in the deepest level, and a conjugate of h is one of
-    the spun rows. So the levels above get the pivots of a worklist that
-    keeps those recipes, in its order, and the deepest level gets its span.
+    trivially on itself. This stands in for the recipes of a deepest pivot
+    h: its p-th power and its same-level commutators are trivial, and
+    commutator(h, s) = h^-1 * h^s is in the span of the spun rows. So the
+    levels above get the pivots of a worklist that keeps those recipes, in
+    its order, and the deepest level gets its span; the induction starts
+    from it.
     """
     conjugators = np.asarray(conjugators, np.int32).reshape(len(conjugators), p**depth)
+    if isinstance(seeds, Commutators):
+        plain = ()
+    else:
+        seeds = plain = np.asarray(seeds, np.int32).reshape(len(seeds), p**depth)
+    actors = list({s.tobytes(): s for s in (*conjugators, *plain)}.values())
     chain = SubgroupChain(p, depth)
     last = depth - 1
-    conj_pairs = list(zip(perm_invert(conjugators), conjugators))
     queue, gens = deque(), [chain.gens]
 
     def absorb(perms: np.ndarray) -> None:
@@ -460,12 +478,8 @@ def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
             if d < last:
                 x = (d, seen[d])
                 queue.append(("pow", x))
-                for e in range(last):
-                    if max(d, e) + (d == e) < depth:
-                        queue.extend(("comm", x, (e, j)) for j in range(seen[e]))
-                for c_inv, c in conj_pairs:
-                    queue.append(("conj", c_inv, x, c))
-                    queue.append(("conj", c, x, c_inv))
+                queue.extend(("comm", x, (d, j)) for j in range(seen[d]))
+                queue.extend(("comm", x, s) for s in actors)
             seen[d] += 1
 
     for perms, labels in _seed_batches(p, depth, seeds):
@@ -487,7 +501,7 @@ def _seed_batches(p: int, depth: int, seeds):
         xs, ys, ii, jj, new_only = seeds
         stacks = (perm_commutator(xs[ii[s : s + BATCH]], ys[jj[s : s + BATCH]]) for s in range(0, len(ii), BATCH))
     else:
-        seeds, new_only = np.asarray(seeds, np.int32).reshape(len(seeds), p**depth), False
+        new_only = False
         stacks = (seeds[s : s + BATCH] for s in range(0, len(seeds), BATCH))
     kept = {bytes(2 * label_count(p, depth))}  # the identity's labels, never kept
     for perms in stacks:
@@ -512,12 +526,7 @@ def _build(recipes: list[tuple], p: int, stacks=()) -> np.ndarray:
         kinds.setdefault(item[0], []).append(i)
     for kind, idx in kinds.items():
         args = [np.array(arg) for arg in zip(*(recipes[i][1:] for i in idx))]
-        if kind == "pow":
-            out[idx] = perm_power(args[0], p)
-        elif kind == "comm":
-            out[idx] = perm_commutator(*args)
-        else:
-            out[idx] = perm_compose(perm_compose(args[0], args[1]), args[2])
+        out[idx] = perm_power(args[0], p) if kind == "pow" else perm_commutator(*args)
     return out
 
 

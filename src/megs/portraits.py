@@ -33,12 +33,17 @@ def label_count(p: int, depth: int) -> int:
     return level_offsets(p, depth)[-1]
 
 
-@lru_cache(maxsize=None)
 def identity_perm(p: int, depth: int) -> np.ndarray:
     """The identity leaf permutation (int32, read-only, shared)."""
-    perm = np.arange(p**depth, dtype=np.int32)
-    perm.setflags(write=False)
-    return perm
+    return _identity_row(p**depth, np.dtype(np.int32))
+
+
+@lru_cache(maxsize=None)
+def _identity_row(width: int, dtype: np.dtype) -> np.ndarray:
+    """0, ..., width - 1: one read-only array per width and dtype."""
+    row = np.arange(width, dtype=dtype)
+    row.setflags(write=False)
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -96,14 +101,14 @@ def perm_compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def perm_invert(x: np.ndarray) -> np.ndarray:
     """The inverse, row by row."""
     inv = np.empty(x.shape, x.dtype)
-    inv.ravel()[_flat(x, x.shape[-1])] = np.arange(x.shape[-1], dtype=x.dtype)
+    inv.ravel()[_flat(x, x.shape[-1])] = _identity_row(x.shape[-1], x.dtype)
     return inv
 
 
 def perm_power(x: np.ndarray, e: int) -> np.ndarray:
     """x^e, row by row, for any integer e, by repeated squaring; always a new array."""
     if e == 0:
-        return np.broadcast_to(np.arange(x.shape[-1], dtype=x.dtype), x.shape).copy()
+        return np.broadcast_to(_identity_row(x.shape[-1], x.dtype), x.shape).copy()
     base, result, e = (x if e > 0 else perm_invert(x)), None, abs(e)
     while e:
         if e & 1:

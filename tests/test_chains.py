@@ -159,16 +159,16 @@ PINNED = [
 
 
 PINNED_DIGESTS = [
-    "7b0ad9fea75ea185",
-    "316be755978a437e",
-    "d60b5ca410922010",
-    "7fbb1036c8562236",
-    "457cd49e5a2d5030",
-    "a75f199161121531",
-    "b82a44b68e32a633",
-    "22c187a47396ac28",
-    "a247288fe7b67ba8",
-    "2fbf934cf5c9682a",
+    "e24972157182912a",
+    "049fdcf5d360f81f",
+    "53265c6fc0d5dcc9",
+    "aeb1f6492fc94f7a",
+    "f60d738630531963",
+    "bdc6cbc43709ae30",
+    "5be59c67da307343",
+    "62492afbb0286852",
+    "3764d3817c4d5251",
+    "004afd7123c3b2e1",
 ]
 
 
@@ -216,7 +216,31 @@ def test_a_closure_makes_one_level_pass_per_batch(monkeypatch):
     chain = quotient(S22, 5).full()
     assert chain.order_exponent() == 64
     # Re-sifting the rows left after each insertion would make a pass per pivot.
-    assert calls == {"pass": 9, "batch": 9}
+    assert calls == {"pass": 7, "batch": 7}
+
+
+def test_the_deep_chains_take_the_pinned_level_passes_and_rows(monkeypatch):
+    # The five chains of the benchmark's deep-p3 round, at n = 5. A closure
+    # that also sifted the commutators of pivots of two levels made 44
+    # passes over 1,798 rows.
+    calls = {"pass": 0, "rows": 0}
+    level_pass = SubgroupChain._level_pass
+
+    def counted_pass(self, perms, insert=False):
+        calls["pass"] += 1
+        calls["rows"] += len(perms)
+        return level_pass(self, perms, insert)
+
+    monkeypatch.setattr(SubgroupChain, "_level_pass", counted_pass)
+    for text, descriptors in (
+        ("p = 3; E1 = (2, 2)", ("full", "derived", "gamma3")),
+        ("p = 3; E1 = (1, 2)", ("full",)),
+        ("p = 3; E1 = (1, 0), (0, 1)", ("full",)),
+    ):
+        q = quotient(NumericalDatum.from_text(text), 5)
+        for descriptor in descriptors:
+            q.chain(descriptor)
+    assert calls == {"pass": 34, "rows": 1159}
 
 
 def test_inverse_powers_are_built_once_per_pivot_above_the_deepest_level(monkeypatch):
@@ -267,24 +291,25 @@ def upper_and_deepest_span(chain):
         for case, digests in zip(
             PINNED,
             [
-                ("92da7d8d9ab2badc", "19d1f1da76e3e011"),
-                ("7174befeb104552a", "19d1f1da76e3e011"),
-                ("908345c30e3b80e9", "19d1f1da76e3e011"),
-                ("0ce89df5fb89ecbd", "7bf3b4992412f018"),
-                ("0bc3aeeee96325a4", "7bf3b4992412f018"),
-                ("7b633613094e5272", "57afc95dcdc5f099"),
-                ("d7d9e527a9487bcd", "57afc95dcdc5f099"),
-                ("e7c4af9966b0cdb5", "57afc95dcdc5f099"),
-                ("1a8e95a20f7d3a57", "03ea633bf3d2e972"),
-                ("d3415fc63d738eef", "8e1d30920947e351"),
+                ("871a0186bb7ed297", "19d1f1da76e3e011"),
+                ("75d5a1b8b652cbec", "19d1f1da76e3e011"),
+                ("b996a1d18f818063", "19d1f1da76e3e011"),
+                ("170f1cd7cb49c29f", "7bf3b4992412f018"),
+                ("ff528c5dc604f7ac", "7bf3b4992412f018"),
+                ("d874145f2e4afdb1", "57afc95dcdc5f099"),
+                ("003fefae69e370a4", "57afc95dcdc5f099"),
+                ("81507c88d83d2523", "57afc95dcdc5f099"),
+                ("2260beaa0852a7b2", "03ea633bf3d2e972"),
+                ("a560e412c0849db4", "8e1d30920947e351"),
             ],
         )
     ],
 )
 def test_upper_pivots_and_deepest_span_are_pinned(text, level, descriptor, upper, span):
-    # Values of the worklist closure that also sifted every commutator and
-    # conjugate of a deepest pivot: spinning the deepest level must keep
-    # every pivot above it and the span of its rows.
+    # The spans are those of the worklist closure that also sifted every
+    # commutator and conjugate of a deepest pivot: spinning the deepest level
+    # must keep every pivot above it and the span of its rows. The pivots
+    # above are the closure's own, which a change of its recipes moves.
     chain = quotient(NumericalDatum.from_text(text), level).chain(descriptor)
     assert upper_and_deepest_span(chain) == (upper, span)
 
@@ -301,16 +326,16 @@ PIVOT_SEEDED = ["second-derived", "kernel-derived:1", "kernel-gamma3:1"]
                 ("p = 3; E1 = (2, 2)", 4),
                 [
                     ("aeec97b760023f31", "e0676e44ee494156"),
-                    ("d24d40476846ad9c", "19d1f1da76e3e011"),
-                    ("5b0e933bf3d0ad16", "19d1f1da76e3e011"),
+                    ("2fcbc5e6bc3318ef", "19d1f1da76e3e011"),
+                    ("8fa67a0183edf972", "19d1f1da76e3e011"),
                 ],
             ),
             (
                 ("p = 3; E1 = (1, 0), (0, 1)", 5),
                 [
-                    ("46e69488a9f91698", "8e1d30920947e351"),
-                    ("eda8d9a480b1a868", "8e1d30920947e351"),
-                    ("3ae6519066f55d67", "8e1d30920947e351"),
+                    ("fded0d55d797e853", "8e1d30920947e351"),
+                    ("dccf668a77bd1e08", "8e1d30920947e351"),
+                    ("1e6095e806cdcda1", "8e1d30920947e351"),
                 ],
             ),
             (
@@ -326,10 +351,10 @@ PIVOT_SEEDED = ["second-derived", "kernel-derived:1", "kernel-gamma3:1"]
     ],
 )
 def test_chains_seeded_with_pivot_commutators_keep_their_pivots(text, level, descriptor, upper, span):
-    # Values from when these chains were seeded with every commutator of two
-    # pivots. The seeds are left out (a level-0 kernel view has none), since
-    # they are what changed; the pivots above the deepest level and the span
-    # of the deepest rows must not.
+    # The spans are from when these chains were seeded with every commutator
+    # of two pivots. The seeds are left out (a level-0 kernel view has none),
+    # since dropping identities and repeats changed them; the pivots above
+    # the deepest level and the span of the deepest rows must not change.
     chain = quotient(NumericalDatum.from_text(text), level).chain(descriptor)
     assert upper_and_deepest_span(level_kernel_chain(chain, 0)) == (upper, span)
 
@@ -338,7 +363,7 @@ def test_chains_seeded_with_pivot_commutators_keep_only_new_seeds():
     q = quotient(S22, 5)
     counts = {descriptor: len(q.chain(descriptor).gens) for descriptor in PIVOT_SEEDED}
     # Every commutator of two pivots gave 1,891, 1,953 and 3,780 seeds.
-    assert counts == {"second-derived": 641, "kernel-derived:1": 857, "kernel-gamma3:1": 1452}
+    assert counts == {"second-derived": 543, "kernel-derived:1": 697, "kernel-gamma3:1": 1183}
     for descriptor in PIVOT_SEEDED:
         keys = [g.tobytes() for g in q.chain(descriptor).gens]
         assert len(set(keys)) == len(keys)
@@ -390,7 +415,7 @@ def stacked_seeds(seeds):
 def test_commutator_seeds_are_built_once_a_batch_at_a_time(text, level, descriptor, before, pairs, monkeypatch):
     # The closure builds each seed commutator from its index pair just before
     # the level pass that sifts it, at most BATCH at a time, and gets the
-    # chain that stacking every seed first gave.
+    # chain that building every seed in one stack gives.
     q = quotient(NumericalDatum.from_text(text), level)
     q.chain(before)
     rows, captured = [], {}
@@ -411,18 +436,19 @@ def test_commutator_seeds_are_built_once_a_batch_at_a_time(text, level, descript
     seeds = captured["seeds"]
     assert isinstance(seeds, chains.Commutators) and len(seeds.ii) == pairs
     assert max(rows) <= chains.BATCH
-    stack = stacked_seeds(seeds)
+    assert np.array_equal(chain.gens, perm_labels(q.datum.p, level, stacked_seeds(seeds)))
     rows.clear()
-    reference = close(q.datum.p, level, stack, captured["conjugators"])
-    # Both closures build the same recipe commutators; the rest are the seeds.
-    assert streamed - sum(rows) == pairs
-    assert np.array_equal(chain.gens, reference.gens)
+    monkeypatch.setattr(chains, "BATCH", pairs)
+    reference = close(q.datum.p, level, seeds, captured["conjugators"])
+    # The seeds in one stack, then the same recipe commutators.
+    assert rows[0] == pairs and sum(rows) == streamed
     assert chain_digest(chain) == chain_digest(reference)
 
 
 @pytest.mark.parametrize(
     "text, level, circulant",
-    [("p = 3; E1 = (2, 2)", 6, False), ("p = 3; E1 = (1, 2)", 6, True), ("p = 5; E1 = (1, 2, 0, 0)", 5, True)],
+    [("p = 3; E1 = (2, 2)", 6, False), ("p = 3; E1 = (1, 2)", 6, True), ("p = 5; E1 = (1, 2, 0, 0)", 5, True),
+     ("p = 3; E1 = (2, 2)", 7, False), ("p = 3; E1 = (1, 2)", 7, True)],
 )
 def test_orders_follow_the_known_formulas_beyond_brute_force(text, level, circulant):
     datum = NumericalDatum.from_text(text)
@@ -537,7 +563,9 @@ def _insert(chain, residual, d):
 
 
 def reference_close(p, depth, seeds, conjugators=()):
-    """The one-at-a-time worklist closure that also sifts every recipe of a deepest pivot."""
+    """The all-pairs closure, one element at a time: a new pivot takes its
+    p-th power, its commutators with every earlier pivot and both of its
+    conjugates by each conjugator, a deepest pivot included."""
     chain = SubgroupChain(p, depth, gens=[g.labels for g in seeds])
     queue = deque(seeds)
     while queue:
@@ -557,6 +585,29 @@ def reference_close(p, depth, seeds, conjugators=()):
     return chain
 
 
+def reference_generator_close(p, depth, seeds, actors):
+    """close_chain's rule, one element at a time: a new pivot takes its p-th
+    power and its commutators with the earlier pivots of its own level and
+    with each actor, a deepest pivot included."""
+    chain = SubgroupChain(p, depth, gens=[g.labels for g in seeds])
+    queue = deque(seeds)
+    while queue:
+        d, residual = reference_sift(chain, queue.popleft())
+        if d is None:
+            continue
+        rep = _insert(chain, residual, d)
+        if d + 1 < depth:
+            queue.append(rep ** p)
+            queue.extend(commutator(rep, other) for _, _, other in pivot_entries(chain, d)[:-1])
+        queue.extend(commutator(rep, s) for s in actors)
+    return chain
+
+
+def _actors(seeds, conjugators):
+    """close_chain's actors for a stack of seeds: the conjugators, then the seeds, less repeats."""
+    return list({g.perm.tobytes(): g for g in (*conjugators, *seeds)}.values())
+
+
 def _assert_same_closure(got, want):
     assert got.dims() == want.dims()
     assert upper_and_deepest_span(got) == upper_and_deepest_span(want)
@@ -565,10 +616,43 @@ def _assert_same_closure(got, want):
 def test_batched_closure_finds_the_sequential_pivots():
     for text, depth in (("p = 3; E1 = (1, 0), (0, 1)", 4), ("p = 5; E1 = (1, 2, 0, 0)", 3)):
         q = quotient(NumericalDatum.from_text(text), depth)
-        gens = list(q.gens.values())
+        p, gens = q.datum.p, list(q.gens.values())
         comms = [commutator(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
-        _assert_same_closure(q.full(), reference_close(q.datum.p, depth, list(gens)))
-        _assert_same_closure(q.derived(), reference_close(q.datum.p, depth, comms, conjugators=gens))
+        # `derived` is seeded with `Commutators`, so its actors are the generators alone.
+        _assert_same_closure(q.full(), reference_generator_close(p, depth, gens, gens))
+        _assert_same_closure(q.derived(), reference_generator_close(p, depth, comms, gens))
+        _assert_same_group(q.full(), reference_close(p, depth, gens))
+        _assert_same_group(q.derived(), reference_close(p, depth, comms, conjugators=gens))
+
+
+def _defining_seeds(q, descriptor):
+    """The seeds and conjugators that define a quotient's full, derived or gamma3 subgroup, as portraits."""
+    gens = list(q.gens.values())
+    if descriptor == "full":
+        return gens, []
+    if descriptor == "derived":
+        return [commutator(x, y) for i, x in enumerate(gens) for y in gens[i + 1 :]], gens
+    return [commutator(x, y) for x in q.derived().pivots() for y in gens], gens
+
+
+@pytest.mark.parametrize("text, level, descriptor", PINNED)
+def test_pinned_chains_hold_the_groups_of_the_all_pairs_closure(text, level, descriptor):
+    # Commutators of pivots of two levels are left out of the closure; the
+    # group must be the one that sifting them too gives.
+    q = quotient(NumericalDatum.from_text(text), level)
+    seeds, conjugators = _defining_seeds(q, descriptor)
+    _assert_same_group(q.chain(descriptor), reference_close(q.datum.p, level, seeds, conjugators))
+
+
+def test_a_normal_closure_of_an_element_outside_the_group_is_closed():
+    # The actors must generate every pivot, so the closure adds the seeds to
+    # the conjugators: a random portrait need not lie in the quotient.
+    q = quotient(GS, 3)
+    rng = random.Random(3)
+    for _ in range(4):
+        g = Portrait(3, 3, [rng.randrange(3) for _ in range(label_count(3, 3))])
+        want = reference_close(3, 3, [g], conjugators=list(q.gens.values()))
+        _assert_same_group(q.normal_closure([g]), want)
 
 
 @st.composite
@@ -601,13 +685,16 @@ _SHORT_IF_FORWARD = [
 @example(case=(3, 3, list(_Q3.gens.values()), []))
 @example(case=(3, 3, [commutator(*_Q3.gens.values())] * 5, list(_Q3.gens.values())))
 @example(case=(3, 3, [commutator(*_Q3.gens.values())], list(_Q3.gens.values())))
+# Conjugators whose group holds no seed, so the seeds must act as well.
+@example(case=(3, 3, [Portrait.rooted(3, 3, 1), Portrait(3, 3, [0, 0, 0, 1] + [0] * 9)], [Portrait.identity(3, 3)]))
 # A chain whose section at (3,) comes out one pivot short when the pivots'
 # sections are absorbed in level order instead of in reverse.
 @example(case=(3, 4, [Portrait(3, 4, labels) for labels in _SHORT_IF_FORWARD], []))
 def test_closure_matches_the_sequential_reference_on_random_seeds(case):
     p, depth, seeds, conjugators = case
     got = close_chain(p, depth, [g.perm for g in seeds], conjugators=[c.perm for c in conjugators])
-    _assert_same_closure(got, reference_close(p, depth, seeds, conjugators))
+    _assert_same_closure(got, reference_generator_close(p, depth, seeds, _actors(seeds, conjugators)))
+    _assert_same_group(got, reference_close(p, depth, seeds, conjugators))
     # The level-1 kernel's sections are read off its pivots; the chain's own
     # may need the closure, when a pivot moves the vertex.
     for chain in (level_kernel_chain(got, 1), got):
@@ -790,8 +877,8 @@ def test_a_reloaded_chain_sifts_like_the_chain_that_wrote_it(tmp_path, text, lev
 
 # sha256 of the bytes of a cold cache's file; any drift in the encoding shows.
 CACHE_FILE_SHA256 = [
-    ("p = 3; E1 = (2, 2)", 4, "40383b2bf18cfd23381be67b56c42847873588376d0b7c1dce67965fda150363"),
-    ("p = 5; E1 = (1, 2, 0, 0)", 3, "806223e7105883671208cfb88c5109a1ce8bd1a70b5f1fa691774c1a830f103d"),
+    ("p = 3; E1 = (2, 2)", 4, "f671d6a3c9ba261f41f13813bd0256bc161e1858f49ef86e3172ef0dbce011b3"),
+    ("p = 5; E1 = (1, 2, 0, 0)", 3, "068ad4be3b0db114b07a0023147e9d32215b8fa5ef34aaa7bc4903a8dfd0bbfb"),
 ]
 
 
