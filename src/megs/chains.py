@@ -1014,10 +1014,4 @@ def _pivot_commutators(xs: SubgroupChain, ys: SubgroupChain) -> Commutators:
     return Commutators(xp, yp, ii[keep], jj[keep], new_only=True)
 
 
-def quotient(
-    datum: NumericalDatum,
-    level: int,
-    degree_guard: int = DEFAULT_DEGREE_GUARD,
-    store: ChainStore | None = None,
-) -> FiniteQuotient:
-    return FiniteQuotient(datum, level, degree_guard=degree_guard, store=store)
+quotient = FiniteQuotient

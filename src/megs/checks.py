@@ -4,7 +4,8 @@ Every check here follows the same pattern: build congruence quotients of the
 datum's group at a chosen tree depth, test a finite shadow of a statement
 about the infinite group, and return a report with a verdict and
 machine-checkable certificates.  The table `CHECKS` holds what each check
-needs (levels, preconditions, a witness word, a seed) and where the default
+needs (levels, preconditions, a witness word, a seed), the verdict the
+datum's classification predicts with the reason for it, and where the default
 suite runs it; `run_check` does the shared preamble from that table.
 
 Verdict semantics are asymmetric, as they must be for finite shadows:
@@ -19,7 +20,8 @@ Verdict semantics are asymmetric, as they must be for finite shadows:
 
 Each report also carries the verdict predicted by the datum's classification
 at the tested level, so callers can tell "refuted, as the classification
-predicts" apart from a genuine surprise.
+predicts" apart from a genuine surprise.  Check bodies only measure; every
+prediction is a rule in the table.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .chains import (
     block_product_chain,
     pivot_derived_chain,
     planted,
-    quotient,
     section_exponents,
 )
 from .datum import (
@@ -77,9 +78,13 @@ DEFAULT_SAMPLES = 20
 # A check function takes (datum, classification, level, quotient_at) and, as
 # its table entry asks, keyword arguments aux_level, word, seed and samples.
 # quotient_at(n) is the level-n quotient with the call's one store and guard.
-# It returns the report fields it decides: verdict, expected, certificates,
-# notes, and the level where the report's level is not the one passed in.
+# It returns what it measures: verdict, certificates, notes, and the level
+# where the report's level is not the one passed in.
 QuotientAt = Callable[[int], FiniteQuotient]
+
+# The verdict a classification predicts, None for no prediction, and the
+# reasons for it, which the report lists ahead of the check's own notes.
+Prediction = tuple[str | None, tuple[str, ...]]
 
 
 class CheckError(ValueError):
@@ -162,24 +167,67 @@ def _witness_cert(certs: dict, key: str, g: Portrait) -> None:
         certs[f"{key}-truncated-to-depth"] = 4
 
 
-def _outcome(
-    verdict: str, expected: str | None, certs: dict, notes: tuple[str, ...] = ()
+def _contains(certs: dict, key: str, target: SubgroupChain, sub: SubgroupChain) -> bool:
+    """Whether `target` contains `sub`, recorded under `key`; the first pivot
+    of `sub` that it misses goes into the certificates as the witness."""
+    certs[key], bad = target.contains_chain(sub)
+    if bad is not None:
+        _witness_cert(certs, "witness", bad)
+    return certs[key]
+
+
+def _outcome(verdict: str, certs: dict, notes: tuple[str, ...] = ()) -> dict:
+    """The report fields a check measures."""
+    return dict(verdict=verdict, certificates=certs, notes=notes)
+
+
+# -- abelianization --------------------------------------------------------------
+
+
+def check_abelianization_index(
+    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt
 ) -> dict:
-    """The report fields a check decides for itself."""
-    return dict(verdict=verdict, expected=expected, certificates=certs, notes=notes)
+    """Index of the derived subgroup in the level-n quotient against p^(1+r).
+
+    For jointly independent defining vectors the quotient modulo its derived
+    subgroup has order exactly p^(1+r) from level r+1 on.  The certificates
+    also compare the measured index with p^(1+dim V) and, for dependent
+    vectors, name the family of the dependency's target syllable.
+    """
+    q = quotient_at(level)
+    measured = q.order_exponent() - q.derived().order_exponent()
+    predicted = 1 + datum.total_generators
+    reduced = 1 + cls.dimV
+    certs = {
+        "measured-exponent": measured,
+        "predicted-exponent": predicted,
+        "joint-span-dimension": cls.dimV,
+        "reduced-exponent": reduced,
+        "reduced-matches": measured == reduced,
+    }
+    dep = dependency(datum)
+    if dep is not None:
+        certs["dependent-target-family"] = dep.family
+    return _outcome(VERIFIED if measured == predicted else REFUTED, certs)
 
 
-def _embedding_check(
-    datum: NumericalDatum,
-    level: int,
-    quotient_at: QuotientAt,
+# -- branch structure ------------------------------------------------------------
+
+
+def check_embedding(
     source: str,
     target: str,
-    expected: str | None,
-    notes: tuple[str, ...] = (),
+    datum: NumericalDatum,
+    cls: Classification,
+    level: int,
+    quotient_at: QuotientAt,
 ) -> dict:
-    """Sift the pivots of chain `source` of the level-(n-1) quotient, planted
-    below the first vertex, into chain `target` of the level-n quotient."""
+    """A subgroup below one vertex against a subgroup of the stabilizer.
+
+    Plants the pivots of chain `source` of the level-(n-1) quotient at the
+    first vertex and sifts them into chain `target` of the level-n quotient;
+    the table binds the two descriptors.
+    """
     source = quotient_at(level - 1).chain(source)
     target = quotient_at(level).chain(target)
     pivots = planted(datum.p, level, source.perms(), [0])
@@ -192,107 +240,7 @@ def _embedding_check(
     }
     if len(failed):
         _witness_cert(certs, "witness", Portrait._from_perm(datum.p, level, pivots[failed[0]]))
-    return _outcome(VERIFIED if not len(failed) else REFUTED, expected, certs, notes)
-
-
-# -- abelianization --------------------------------------------------------------
-
-
-def check_abelianization_index(
-    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt
-) -> dict:
-    """Index of the derived subgroup in the level-n quotient against p^(1+r).
-
-    For jointly independent defining vectors the quotient modulo its derived
-    subgroup has order exactly p^(1+r) from level r+1 on.  When the joint
-    vectors are linearly dependent and the datum has a branch structure over
-    the derived subgroup, the classes of the involved generators merge in
-    every congruence quotient, so the measured index stays at p^(1+dim V) and
-    the full-rank value is unattainable at any level.  Constant-class data
-    keep the full rank despite their dependent vectors, because no branch
-    containment forces the merge; the remaining dependent combinations are
-    reported without a prediction.
-    """
-    q = quotient_at(level)
-    measured = q.order_exponent() - q.derived().order_exponent()
-    r = datum.total_generators
-    predicted = 1 + r
-    reduced = 1 + cls.dimV
-    dep = dependency(datum)
-    certs = {
-        "measured-exponent": measured,
-        "predicted-exponent": predicted,
-        "joint-span-dimension": cls.dimV,
-        "reduced-exponent": reduced,
-        "reduced-matches": measured == reduced,
-    }
-    notes: tuple[str, ...] = ()
-    if dep is None:
-        expected = VERIFIED
-    elif cls.in_G_class:
-        expected = VERIFIED
-        certs["dependent-target-family"] = dep.family
-    elif cls.branch_over_derived:
-        expected = REFUTED
-        certs["dependent-target-family"] = dep.family
-        notes = (
-            "the joint defining vectors are linearly dependent, so the involved "
-            "generator classes coincide in every congruence abelianization and "
-            "the full-rank index cannot appear at any level",
-        )
-    else:
-        expected = None
-        certs["dependent-target-family"] = dep.family
-    verdict = VERIFIED if measured == predicted else REFUTED
-    return _outcome(verdict, expected, certs, notes)
-
-
-# -- branch structure ------------------------------------------------------------
-
-
-def check_branch_over_derived(
-    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt
-) -> dict:
-    """Derived subgroup below one vertex against the derived part of the stabilizer.
-
-    Embeds the pivots of the derived subgroup of the level-(n-1) quotient at
-    the first vertex and sifts them into the derived subgroup of the level-1
-    kernel of the level-n quotient.  The classification predicts success
-    exactly when some defining vector is non-symmetric or the joint span has
-    dimension at least two.
-    """
-    expected = VERIFIED if cls.branch_over_derived else REFUTED
-    return _embedding_check(datum, level, quotient_at, "derived", "kernel-derived:1", expected)
-
-
-def check_branch_over_gamma3(
-    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt
-) -> dict:
-    """Third lower-central term below one vertex against its stabilizer form.
-
-    Embeds the pivots of the third lower-central term of the level-(n-1)
-    quotient at the first vertex and sifts them into the third lower-central
-    term of the level-1 kernel of the level-n quotient.
-    """
-    notes: tuple[str, ...] = ()
-    if single_constant_family(datum):
-        expected = VERIFIED if level <= 3 else REFUTED
-        notes = (
-            "a single constant singleton family embeds at levels up to 3 and "
-            "fails from level 4 on; a failure is exact at the tested level",
-        )
-    else:
-        expected = VERIFIED
-    return _embedding_check(
-        datum, level, quotient_at, "gamma3", "kernel-gamma3:1", expected, notes
-    )
-
-
-def check_second_derived(
-    datum: NumericalDatum, cls: Classification, level: int, quotient_at: QuotientAt
-) -> dict:
-    """Third lower-central term below one vertex against the second derived subgroup."""
-    return _embedding_check(datum, level, quotient_at, "gamma3", "second-derived", VERIFIED)
+    return _outcome(VERIFIED if not len(failed) else REFUTED, certs)
 
 
 def check_st1_derived_in_gamma3(
@@ -302,22 +250,11 @@ def check_st1_derived_in_gamma3(
     q = quotient_at(level)
     sub = q.kernel_derived(1)
     target = q.gamma3()
-    contained, bad = target.contains_chain(sub)
     certs = {
         "sub-order-exponent": sub.order_exponent(),
         "target-order-exponent": target.order_exponent(),
-        "contained": contained,
     }
-    if bad is not None:
-        _witness_cert(certs, "witness", bad)
-    notes: tuple[str, ...] = ()
-    if cls.in_E_class:
-        notes = (
-            "for this datum the containment fails in the infinite group but "
-            "the defect is not visible at levels up to 4; a non-containment "
-            "here would be a rigorous refutation at the tested level",
-        )
-    return _outcome(VERIFIED if contained else REFUTED, VERIFIED, certs, notes)
+    return _outcome(VERIFIED if _contains(certs, "contained", target, sub) else REFUTED, certs)
 
 
 def check_subdirect(
@@ -337,22 +274,13 @@ def check_subdirect(
     full_exp = full.order_exponent()
     section_exps = section_exponents(chain, q.gen_perms, 1)
     bad = [x for x, e in enumerate(section_exps, start=1) if e != full_exp]
-    notes: tuple[str, ...] = ()
-    if single_constant_family(datum):
-        expected = REFUTED
-        notes = (
-            "for a single constant singleton family the tested sections stay "
-            "a fixed index below the full quotient at every level",
-        )
-    else:
-        expected = VERIFIED
     certs = {
         "route": route,
         "full-order-exponent": full_exp,
         "section-order-exponents": section_exps,
         "deficient-coordinates": bad,
     }
-    return _outcome(VERIFIED if not bad else REFUTED, expected, certs, notes)
+    return _outcome(VERIFIED if not bad else REFUTED, certs)
 
 
 # -- congruence subgroup property -------------------------------------------------
@@ -379,17 +307,13 @@ def check_csp_positive(
     q = quotient_at(level)
     kern = q.kernel(k)
     target = q.derived() if route == "derived" else q.gamma3()
-    contained, bad = target.contains_chain(kern)
     certs = {
         "route": route,
         "kernel-level": k,
         "kernel-order-exponent": kern.order_exponent(),
         "target-order-exponent": target.order_exponent(),
-        "contained": contained,
     }
-    if bad is not None:
-        _witness_cert(certs, "witness", bad)
-    return _outcome(VERIFIED if contained else REFUTED, VERIFIED, certs)
+    return _outcome(VERIFIED if _contains(certs, "contained", target, kern) else REFUTED, certs)
 
 
 def dependent_witness(
@@ -469,13 +393,7 @@ def check_csp_witness_dependent(
         "defect-in-derived": in_derived,
     }
     ok = agrees and ab_c != ab_t1 and coset_ok and in_kernel
-    notes = (
-        "the defect lands inside the derived image at every finite level "
-        "because the dependent generator classes already merge there; the "
-        "non-congruence in the infinite group is witnessed by the different "
-        "abelianization classes together with the coset certificate",
-    )
-    return _outcome(VERIFIED if ok else REFUTED, VERIFIED, certs, notes)
+    return _outcome(VERIFIED if ok else REFUTED, certs)
 
 
 def exceptional_witness(
@@ -538,14 +456,7 @@ def check_csp_witness_exceptional(
         "witness-in-gamma3-at-aux": in_final,
         "consistent": consistent,
     }
-    notes = (
-        "an escape level of None means the defect of the infinite statement "
-        "is not visible at the tested levels: the congruence closure of the "
-        "third lower-central term contains the witness in every tested "
-        "quotient",
-    )
-    verdict = VERIFIED if (in_stab and coset_ok and consistent) else REFUTED
-    return _outcome(verdict, VERIFIED, certs, notes)
+    return _outcome(VERIFIED if (in_stab and coset_ok and consistent) else REFUTED, certs)
 
 
 # -- fractality and closures -------------------------------------------------------
@@ -558,9 +469,6 @@ def check_fractality(
 
     For each k below the level, the section of the level-k kernel at each
     depth-k vertex is compared with the full quotient at the remaining depth.
-    Data whose families are all constant singletons are predicted to show an
-    index-p defect at k = 2 once the level reaches 4; all other data are
-    predicted to stay full at every tested vertex.
     """
     q = quotient_at(level)
     per_level = []
@@ -582,21 +490,10 @@ def check_fractality(
         per_level.append(
             {"k": k, "full-exponent": full_exp, "defect-count": len(defects)}
         )
-    notes: tuple[str, ...] = ()
-    # Every nonempty family is a constant singleton, one family or several.
-    if cls.in_G_class or single_constant_family(datum):
-        expected = VERIFIED if level <= 3 else REFUTED
-        notes = (
-            "for data whose families are all constant singletons the level-2 "
-            "kernel sections drop to index p once the level reaches 4",
-        )
-    else:
-        expected = VERIFIED
     certs: dict = {"levels": per_level}
     if first_defect is not None:
         certs["first-defect"] = first_defect
-    verdict = VERIFIED if first_defect is None else REFUTED
-    return _outcome(verdict, expected, certs, notes)
+    return _outcome(VERIFIED if first_defect is None else REFUTED, certs)
 
 
 def check_full_section_vertex(
@@ -638,9 +535,7 @@ def check_full_section_vertex(
             "no vertex within the depth bound has a full section; a larger "
             "bound or level may still find one",
         )
-    expected = None if cls.in_G_class else VERIFIED
-    verdict = VERIFIED if found is not None else GUARD
-    return {**_outcome(verdict, expected, certs, notes), "level": level}
+    return {**_outcome(VERIFIED if found is not None else GUARD, certs, notes), "level": level}
 
 
 def check_normal_closure_blocks(
@@ -677,7 +572,7 @@ def check_normal_closure_blocks(
     notes: tuple[str, ...] = ()
     if not ok:
         notes = ("no block level found below the tested level; raise the level",)
-    return _outcome(VERIFIED if ok else GUARD, VERIFIED, certs, notes)
+    return _outcome(VERIFIED if ok else GUARD, certs, notes)
 
 
 def check_weak_csp(
@@ -694,19 +589,15 @@ def check_weak_csp(
     stab_derived = q.kernel_derived(level)
     small = quotient_at(aux_level - level)
     blocks = block_product_chain(datum.p, aux_level, level, small.derived())
-    contained, bad = stab_derived.contains_chain(blocks)
-    trivial_dir, _ = blocks.contains_chain(stab_derived)
     certs = {
         "stabilizer-derived-exponent": stab_derived.order_exponent(),
         "derived-blocks-exponent": blocks.order_exponent(),
-        "blocks-inside-stabilizer-derived": contained,
-        "stabilizer-derived-inside-blocks": trivial_dir,
-        "equal": contained and trivial_dir,
     }
-    if bad is not None:
-        _witness_cert(certs, "witness", bad)
-    expected = VERIFIED if cls.branch_over_derived else None
-    return _outcome(VERIFIED if contained else REFUTED, expected, certs)
+    contained = _contains(certs, "blocks-inside-stabilizer-derived", stab_derived, blocks)
+    trivial_dir, _ = blocks.contains_chain(stab_derived)
+    certs["stabilizer-derived-inside-blocks"] = trivial_dir
+    certs["equal"] = contained and trivial_dir
+    return _outcome(VERIFIED if contained else REFUTED, certs)
 
 
 # -- constant-vector data ----------------------------------------------------------
@@ -809,7 +700,7 @@ def check_constant_vector(
         and star_fails == 0
         and all(intersection_ok)
     )
-    return _outcome(VERIFIED if ok else REFUTED, VERIFIED, certs)
+    return _outcome(VERIFIED if ok else REFUTED, certs)
 
 
 # -- the check table -----------------------------------------------------------------
@@ -822,11 +713,10 @@ NOT_CONSTANT_CLASS: Requirement = (lambda cls, datum: not cls.in_G_class, "{name
     "to data whose families are all constant singletons across two or more families")
 BRANCH_OVER_DERIVED: Requirement = (lambda cls, datum: cls.branch_over_derived,
     "{name} needs a branch structure over the derived subgroup")
-NON_SYMMETRIC_OR_SPAN_TWO: Requirement = (lambda cls, datum: cls.branch_over_derived, "{name} "
-    "applies only to data with a non-symmetric vector or joint span of dimension at least two")
 CSP_PREDICTED: Requirement = (lambda cls, datum: cls.csp == HAS_CSP, "{name} applies only to data "
     "whose classification predicts that every finite-index subgroup is a congruence subgroup")
-DEPENDENT_VECTORS: Requirement = (lambda cls, datum: dependency(datum) is not None,
+# The joint vectors have a nonzero left kernel exactly when their rank is below their count.
+DEPENDENT_VECTORS: Requirement = (lambda cls, datum: cls.dimV < datum.total_generators,
     "the joint defining vectors are linearly independent")
 P_ABOVE_3: Requirement = (lambda cls, datum: datum.p != 3,
     "the exceptional class is empty for p = 3")
@@ -838,14 +728,16 @@ CONSTANT_CLASS: Requirement = (lambda cls, datum: cls.in_G_class,
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """What one check needs and where the default suite runs it.
+    """What one check needs, what it predicts and where the default suite runs it.
 
     `level` is the default level, None for the minimum level; `min_level` is
     a number or a function of the classification and the datum.  A check with
     an aux level m takes m = level + `aux` by default and needs m > level.
-    `suite_level` maps the classification and the default level to the level
-    the suite uses, or to None to leave the datum out; `suite_data` limits the
-    suite rows to the named data, which it runs with the word `SUITE_WORD`.
+    `expect` maps the classification, the datum and the level asked for to
+    the predicted verdict and its reasons.  `suite_level` maps the
+    classification and the default level to the level the suite uses, or to
+    None to leave the datum out; `suite_data` limits the suite rows to the
+    named data, which it runs with the word `SUITE_WORD`.
     """
 
     run: Callable[..., dict]
@@ -855,6 +747,9 @@ class CheckSpec:
     word: bool = False
     seeded: bool = False
     requires: tuple[Requirement, ...] = ()
+    expect: Callable[[Classification, NumericalDatum, int], Prediction] = (
+        lambda cls, datum, level: (VERIFIED, ())
+    )
     suite_level: Callable[[Classification, int], int | None] | None = None
     suite_data: tuple[str, ...] | None = None
 
@@ -872,12 +767,57 @@ class CheckSpec:
 
 
 CHECKS: dict[str, CheckSpec] = {
-    "abelianization-index": CheckSpec(check_abelianization_index),
-    "branch-over-derived": CheckSpec(check_branch_over_derived),
-    "branch-over-gamma3": CheckSpec(check_branch_over_gamma3, requires=(NOT_CONSTANT_CLASS,)),
-    "st1-derived-in-gamma3": CheckSpec(check_st1_derived_in_gamma3, requires=(NOT_CONSTANT_CLASS,)),
-    "subdirect": CheckSpec(check_subdirect, requires=(NOT_CONSTANT_CLASS,)),
-    "second-derived": CheckSpec(check_second_derived, requires=(NON_SYMMETRIC_OR_SPAN_TWO,)),
+    # Dependent joint vectors merge the involved generator classes in every
+    # congruence abelianization of data that branch over the derived subgroup.
+    # Constant-class data keep the full rank, as no branch containment forces
+    # the merge; the other dependent data get no prediction.
+    "abelianization-index": CheckSpec(
+        check_abelianization_index,
+        expect=lambda cls, datum, level: (
+            (VERIFIED, ()) if cls.dimV == datum.total_generators or cls.in_G_class
+            else (REFUTED, (
+                "the joint defining vectors are linearly dependent, so the involved "
+                "generator classes coincide in every congruence abelianization and "
+                "the full-rank index cannot appear at any level",
+            )) if cls.branch_over_derived
+            else (None, ())
+        ),
+    ),
+    # The derived subgroup embeds below one vertex exactly when some defining
+    # vector is non-symmetric or the joint span has dimension at least two.
+    "branch-over-derived": CheckSpec(
+        partial(check_embedding, "derived", "kernel-derived:1"),
+        expect=lambda cls, datum, level: (VERIFIED if cls.branch_over_derived else REFUTED, ()),
+    ),
+    "branch-over-gamma3": CheckSpec(
+        partial(check_embedding, "gamma3", "kernel-gamma3:1"), requires=(NOT_CONSTANT_CLASS,),
+        expect=lambda cls, datum, level: (
+            (VERIFIED if level <= 3 else REFUTED, (
+                "a single constant singleton family embeds at levels up to 3 and "
+                "fails from level 4 on; a failure is exact at the tested level",
+            )) if single_constant_family(datum) else (VERIFIED, ())
+        ),
+    ),
+    "st1-derived-in-gamma3": CheckSpec(
+        check_st1_derived_in_gamma3, requires=(NOT_CONSTANT_CLASS,),
+        expect=lambda cls, datum, level: (VERIFIED, (
+            "for this datum the containment fails in the infinite group but "
+            "the defect is not visible at levels up to 4; a non-containment "
+            "here would be a rigorous refutation at the tested level",
+        ) if cls.in_E_class else ()),
+    ),
+    "subdirect": CheckSpec(
+        check_subdirect, requires=(NOT_CONSTANT_CLASS,),
+        expect=lambda cls, datum, level: (
+            (REFUTED, (
+                "for a single constant singleton family the tested sections stay "
+                "a fixed index below the full quotient at every level",
+            )) if single_constant_family(datum) else (VERIFIED, ())
+        ),
+    ),
+    "second-derived": CheckSpec(
+        partial(check_embedding, "gamma3", "second-derived"), requires=(BRANCH_OVER_DERIVED,)
+    ),
     # The default level is the minimum; the suite leaves out the gamma3 route,
     # whose level 6 is too deep for it.
     "csp-positive": CheckSpec(
@@ -887,15 +827,35 @@ CHECKS: dict[str, CheckSpec] = {
     "csp-witness-dependent": CheckSpec(
         check_csp_witness_dependent, min_level=0, aux=2,
         requires=(BRANCH_OVER_DERIVED, DEPENDENT_VECTORS),
+        expect=lambda cls, datum, level: (VERIFIED, (
+            "the defect lands inside the derived image at every finite level "
+            "because the dependent generator classes already merge there; the "
+            "non-congruence in the infinite group is witnessed by the different "
+            "abelianization classes together with the coset certificate",
+        )),
     ),
     "csp-witness-exceptional": CheckSpec(
-        check_csp_witness_exceptional, level=2, aux=2, requires=(P_ABOVE_3, EXCEPTIONAL_CLASS)
+        check_csp_witness_exceptional, level=2, aux=2, requires=(P_ABOVE_3, EXCEPTIONAL_CLASS),
+        expect=lambda cls, datum, level: (VERIFIED, (
+            "an escape level of None means the defect of the infinite statement "
+            "is not visible at the tested levels: the congruence closure of the "
+            "third lower-central term contains the witness in every tested "
+            "quotient",
+        )),
     ),
+    # Every nonempty family a constant singleton, one family or several.
     "fractality": CheckSpec(
-        check_fractality, suite_level=lambda cls, n: 4 if cls.in_G_class else n
+        check_fractality, suite_level=lambda cls, n: 4 if cls.in_G_class else n,
+        expect=lambda cls, datum, level: (
+            (VERIFIED if level <= 3 else REFUTED, (
+                "for data whose families are all constant singletons the level-2 "
+                "kernel sections drop to index p once the level reaches 4",
+            )) if cls.in_G_class or single_constant_family(datum) else (VERIFIED, ())
+        ),
     ),
     "full-section-vertex": CheckSpec(
-        check_full_section_vertex, level=2, min_level=1, word=True, suite_data=("single-12",)
+        check_full_section_vertex, level=2, min_level=1, word=True, suite_data=("single-12",),
+        expect=lambda cls, datum, level: (None if cls.in_G_class else VERIFIED, ()),
     ),
     "normal-closure-blocks": CheckSpec(
         check_normal_closure_blocks, level=4, word=True, requires=(BRANCH_OVER_DERIVED,),
@@ -904,6 +864,7 @@ CHECKS: dict[str, CheckSpec] = {
     "weak-csp": CheckSpec(
         check_weak_csp, level=1, min_level=1, aux=2, requires=(NOT_CONSTANT_CLASS,),
         suite_data=("single-12",),
+        expect=lambda cls, datum, level: (VERIFIED if cls.branch_over_derived else None, ()),
     ),
     "constant-vector": CheckSpec(check_constant_vector, seeded=True, requires=(CONSTANT_CLASS,)),
 }
@@ -926,8 +887,9 @@ def run_check(
 
     The shared preamble classifies the datum (which validates it), tests the
     check's preconditions, parses and tests the witness word where the check
-    takes one, and fills in and bounds the levels. Every quotient the check
-    asks for shares the store; without one, a store made for the call.
+    takes one, fills in and bounds the levels, and takes the prediction from
+    the table. Every quotient the check asks for shares the store; without
+    one, a store made for the call.
     """
     spec = CHECKS.get(name)
     if spec is None:
@@ -965,10 +927,12 @@ def run_check(
         extra.update(seed=seed, samples=samples)
     if store is None:
         store = ChainStore()
-    quotient_at = partial(quotient, datum, degree_guard=degree_guard, store=store)
+    quotient_at = partial(FiniteQuotient, datum, degree_guard=degree_guard, store=store)
+    expected, reasons = spec.expect(cls, datum, level)
     fields = {"level": level, "aux_level": aux_level, "seed": extra.get("seed")}
     fields.update(spec.run(datum, cls, level, quotient_at, **extra))
-    return CheckReport(check=name, datum_text=datum.canonical_line(), **fields)
+    fields["notes"] = reasons + fields["notes"]
+    return CheckReport(check=name, datum_text=datum.canonical_line(), expected=expected, **fields)
 
 
 SUITE_DATA = (

@@ -18,6 +18,7 @@ from .checks import (
     CHECKS,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    GUARD,
     CheckError,
     CheckReport,
     dependent_witness,
@@ -51,7 +52,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _report_exit(report: CheckReport) -> int:
-    if report.verdict == "GuardExceeded":
+    if report.verdict == GUARD:
         return EXIT_GUARD
     if not report.as_predicted:
         return EXIT_DEVIATION
@@ -290,24 +291,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("classify", parents=[common], help="print the datum's classification")
-    sub.add_parser(
-        "quotient", parents=[common], help="print quotient orders and kernel layers"
-    )
-    p_check = sub.add_parser("check", parents=[common], help="run one finite-level check")
+
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, parents=[common], help=summary)
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    command("classify", cmd_classify, "print the datum's classification")
+    command("quotient", cmd_quotient, "print quotient orders and kernel layers")
+    p_check = command("check", cmd_check, "run one finite-level check")
     p_check.add_argument("check", choices=list(CHECKS), metavar="check")
     p_check.add_argument("--word", default=None, help="witness word for checks that take one")
     p_check.add_argument(
         "--samples", type=int, default=DEFAULT_SAMPLES, help="sample count for seeded certificates"
     )
-    p_order = sub.add_parser("order", parents=[common], help="order of a word's image")
+    p_order = command("order", cmd_order, "order of a word's image")
     p_order.add_argument("word", help="word, e.g. 'a b[1,1]^2'")
     p_order.add_argument("--cap", type=int, default=None, help="give up above this order")
-    p_witness = sub.add_parser(
-        "witness", parents=[common], help="build and certify a congruence-defect witness"
-    )
+    p_witness = command("witness", cmd_witness, "build and certify a congruence-defect witness")
     p_witness.add_argument("kind", choices=list(WITNESSES), metavar="kind")
-    sub.add_parser("suite", parents=[common], help="run the default check matrix")
+    command("suite", cmd_suite, "run the default check matrix")
     return parser
 
 
@@ -317,18 +320,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
-    handlers = {
-        "classify": cmd_classify,
-        "quotient": cmd_quotient,
-        "check": cmd_check,
-        "order": cmd_order,
-        "witness": cmd_witness,
-        "suite": cmd_suite,
-    }
     try:
         if args.command != "suite" and not args.datum:
             raise CheckError(f"{args.command} needs --datum")
-        return handlers[args.command](args)
+        return args.handler(args)
     except (DegreeGuardError, GuardExceeded) as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from megs.checks import (
     CHECK_NAMES,
     CHECKS,
     REFUTED,
+    SUITE_DATA,
     VERIFIED,
     CheckError,
     _index_p_subgroup,
@@ -267,6 +269,198 @@ def test_suite_rows_for_one_datum_run_as_predicted():
         assert report.as_predicted, (check, report.verdict, report.expected)
 
 
+# The reason each check gives with its prediction, where it gives one.
+REASONS = {
+    "abelianization-index": "the joint defining vectors are linearly dependent, so the involved "
+    "generator classes coincide in every congruence abelianization and the full-rank index "
+    "cannot appear at any level",
+    "branch-over-gamma3": "a single constant singleton family embeds at levels up to 3 and fails "
+    "from level 4 on; a failure is exact at the tested level",
+    "st1-derived-in-gamma3": "for this datum the containment fails in the infinite group but the "
+    "defect is not visible at levels up to 4; a non-containment here would be a rigorous "
+    "refutation at the tested level",
+    "subdirect": "for a single constant singleton family the tested sections stay a fixed index "
+    "below the full quotient at every level",
+    "csp-witness-dependent": "the defect lands inside the derived image at every finite level "
+    "because the dependent generator classes already merge there; the non-congruence in the "
+    "infinite group is witnessed by the different abelianization classes together with the "
+    "coset certificate",
+    "csp-witness-exceptional": "an escape level of None means the defect of the infinite "
+    "statement is not visible at the tested levels: the congruence closure of the third "
+    "lower-central term contains the witness in every tested quotient",
+    "fractality": "for data whose families are all constant singletons the level-2 kernel "
+    "sections drop to index p once the level reaches 4",
+}
+
+# The expected verdicts and reason notes of `run_check` over the suite data,
+# recorded when each check body still computed its own prediction. One row per
+# datum and check that applies to it; one letter per level from 2, to 4 for
+# p = 3 and to 3 for p = 5: V Verified, R RefutedByWitness, - no prediction,
+# . below the check's minimum level. A trailing + gives the check's reason.
+PREDICTIONS = """
+single-12        abelianization-index    VVV
+single-12        branch-over-derived     VVV
+single-12        branch-over-gamma3      VVV
+single-12        st1-derived-in-gamma3   VVV
+single-12        subdirect               VVV
+single-12        second-derived          VVV
+single-12        csp-positive            .VV
+single-12        fractality              VVV
+single-12        full-section-vertex     VVV
+single-12        normal-closure-blocks   VVV
+single-12        weak-csp                VVV
+single-11        abelianization-index    VVV
+single-11        branch-over-derived     RRR
+single-11        branch-over-gamma3      VVR +
+single-11        st1-derived-in-gamma3   VVV
+single-11        subdirect               RRR +
+single-11        fractality              VVR +
+single-11        full-section-vertex     VVV
+single-11        weak-csp                ---
+single-22        abelianization-index    VVV
+single-22        branch-over-derived     RRR
+single-22        branch-over-gamma3      VVR +
+single-22        st1-derived-in-gamma3   VVV
+single-22        subdirect               RRR +
+single-22        fractality              VVR +
+single-22        full-section-vertex     VVV
+single-22        weak-csp                ---
+single-01        abelianization-index    VVV
+single-01        branch-over-derived     VVV
+single-01        branch-over-gamma3      VVV
+single-01        st1-derived-in-gamma3   VVV
+single-01        subdirect               VVV
+single-01        second-derived          VVV
+single-01        csp-positive            .VV
+single-01        fractality              VVV
+single-01        full-section-vertex     VVV
+single-01        normal-closure-blocks   VVV
+single-01        weak-csp                VVV
+pair-dependent   abelianization-index    RRR +
+pair-dependent   branch-over-derived     VVV
+pair-dependent   branch-over-gamma3      VVV
+pair-dependent   st1-derived-in-gamma3   VVV
+pair-dependent   subdirect               VVV
+pair-dependent   second-derived          VVV
+pair-dependent   csp-witness-dependent   VVV +
+pair-dependent   fractality              VVV
+pair-dependent   full-section-vertex     VVV
+pair-dependent   normal-closure-blocks   VVV
+pair-dependent   weak-csp                VVV
+pair-independent abelianization-index    VVV
+pair-independent branch-over-derived     VVV
+pair-independent branch-over-gamma3      VVV
+pair-independent st1-derived-in-gamma3   VVV
+pair-independent subdirect               VVV
+pair-independent second-derived          VVV
+pair-independent csp-positive            ..V
+pair-independent fractality              VVV
+pair-independent full-section-vertex     VVV
+pair-independent normal-closure-blocks   VVV
+pair-independent weak-csp                VVV
+pair-reversed    abelianization-index    RRR +
+pair-reversed    branch-over-derived     VVV
+pair-reversed    branch-over-gamma3      VVV
+pair-reversed    st1-derived-in-gamma3   VVV
+pair-reversed    subdirect               VVV
+pair-reversed    second-derived          VVV
+pair-reversed    csp-witness-dependent   VVV +
+pair-reversed    fractality              VVV
+pair-reversed    full-section-vertex     VVV
+pair-reversed    normal-closure-blocks   VVV
+pair-reversed    weak-csp                VVV
+rank-two         abelianization-index    VVV
+rank-two         branch-over-derived     VVV
+rank-two         branch-over-gamma3      VVV
+rank-two         st1-derived-in-gamma3   VVV
+rank-two         subdirect               VVV
+rank-two         second-derived          VVV
+rank-two         csp-positive            ..V
+rank-two         fractality              VVV
+rank-two         full-section-vertex     VVV
+rank-two         normal-closure-blocks   VVV
+rank-two         weak-csp                VVV
+constant-pair    abelianization-index    VVV
+constant-pair    branch-over-derived     RRR
+constant-pair    fractality              VVR +
+constant-pair    full-section-vertex     ---
+constant-pair    constant-vector         VVV
+p5-exceptional   abelianization-index    VV
+p5-exceptional   branch-over-derived     VV
+p5-exceptional   branch-over-gamma3      VV
+p5-exceptional   st1-derived-in-gamma3   VV +
+p5-exceptional   subdirect               VV
+p5-exceptional   second-derived          VV
+p5-exceptional   csp-witness-exceptional VV +
+p5-exceptional   fractality              VV
+p5-exceptional   full-section-vertex     VV
+p5-exceptional   normal-closure-blocks   VV
+p5-exceptional   weak-csp                VV
+p5-symmetric     abelianization-index    VV
+p5-symmetric     branch-over-derived     RR
+p5-symmetric     branch-over-gamma3      VV
+p5-symmetric     st1-derived-in-gamma3   VV
+p5-symmetric     subdirect               VV
+p5-symmetric     fractality              VV
+p5-symmetric     full-section-vertex     VV
+p5-symmetric     weak-csp                --
+p5-generic       abelianization-index    VV
+p5-generic       branch-over-derived     VV
+p5-generic       branch-over-gamma3      VV
+p5-generic       st1-derived-in-gamma3   VV
+p5-generic       subdirect               VV
+p5-generic       second-derived          VV
+p5-generic       csp-positive            .V
+p5-generic       fractality              VV
+p5-generic       full-section-vertex     VV
+p5-generic       normal-closure-blocks   VV
+p5-generic       weak-csp                VV
+"""
+LETTERS = {"V": VERIFIED, "R": REFUTED, "-": None}
+
+
+def test_the_check_table_keeps_the_recorded_predictions(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a prediction closed a chain")
+
+    monkeypatch.setattr(chains, "close_chain", no_closure)
+    want = {}
+    for line in PREDICTIONS.strip().splitlines():
+        name, check, cells, *reason = line.split()
+        for level, letter in enumerate(cells, start=2):
+            if letter != ".":
+                want[name, check, level] = (LETTERS[letter], (REASONS[check],) if reason else ())
+    got = {}
+    for name, text in SUITE_DATA:
+        datum = NumericalDatum.from_text(text)
+        cls = classify(datum)
+        for check, spec in CHECKS.items():
+            if spec.applies(cls, datum) is None:
+                for level in range(max(2, spec.levels(cls, datum)[0]), 5 if datum.p == 3 else 4):
+                    got[name, check, level] = spec.expect(cls, datum, level)
+    assert got == want
+    # The rules that flip between levels 3 and 4 are in the grid.
+    for name, check in [
+        ("single-11", "branch-over-gamma3"),
+        ("single-22", "branch-over-gamma3"),
+        ("constant-pair", "fractality"),
+        ("single-11", "fractality"),
+        ("single-22", "fractality"),
+    ]:
+        assert (want[name, check, 3][0], want[name, check, 4][0]) == (VERIFIED, REFUTED)
+
+
+def test_reports_list_the_reasons_ahead_of_the_measurement_notes(monkeypatch):
+    r = run("fractality", S22, level=4)
+    assert (r.expected, r.notes) == (REFUTED, (REASONS["fractality"],))
+    # No full section of constant-pair within the bound gives a note of the
+    # check's own, which follows a reason given by the table.
+    spec = replace(CHECKS["full-section-vertex"], expect=lambda cls, datum, level: (None, ("why",)))
+    monkeypatch.setitem(CHECKS, "full-section-vertex", spec)
+    r = run("full-section-vertex", CONST, word="a", level=1)
+    assert r.verdict == "GuardExceeded" and r.notes[0] == "why" and len(r.notes) == 2
+
+
 # For every check with preconditions, data that fail each of them in turn.
 OUTSIDE = {
     "branch-over-gamma3": [CONST],
@@ -304,11 +498,12 @@ def test_every_precondition_has_an_outside_datum():
 
 def test_readme_check_table_matches_the_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = re.findall(r"^\| ([a-z0-9-]+) \| ([^|]+) \|", readme, re.M)
-    assert rows[0] == ("check", "default n")
+    rows = re.findall(r"^\| ([a-z0-9-]+) \| ([^|]+) \| [^|]+ \| ([^|]+) \|$", readme, re.M)
+    assert rows[0] == ("check", "default n", "predicted")
     rows = rows[1:]
-    assert [name for name, _ in rows] == list(CHECKS)
-    for name, cell in rows:
+    assert [name for name, _, _ in rows] == list(CHECK_NAMES)
+    for name, cell, predicted in rows:
+        assert predicted.strip(), name
         spec = CHECKS[name]
         if spec.level is None:
             # csp-positive defaults to its minimum level: r+2, or 6 on the gamma3 route.

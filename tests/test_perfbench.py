@@ -1,5 +1,6 @@
-"""The benchmark's layer tracer still finds every name it wraps."""
+"""The benchmark's layer tracer and output checks still work with the package."""
 
+import json
 import os
 import subprocess
 import sys
@@ -36,3 +37,46 @@ def test_tracer_installs_and_uninstalls_every_target():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+def _perfbench(script, job):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / script), json.dumps(job)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=ROOT,
+        env=dict(env, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1"),
+    )
+    assert done.returncode == 0, done.stderr
+    with open(job["result"]) as fh:
+        return json.load(fh)
+
+
+def test_benchmark_outputs_pass_the_benchmarks_own_checks(tmp_path):
+    # The checks the benchmark runs on its outputs: a renamed entry point
+    # (quotient, suite_plan, CHECK_NAMES) or a suite row that no longer ends
+    # as predicted fails here.
+    src = str(ROOT / "src")
+    text = "p = 3; E1 = (2, 2)"
+    deep = _perfbench("worker.py", {
+        "mode": "deep", "src": src, "data": [text], "level": 3, "out": str(tmp_path / "deep"),
+        "chains": [[text, ["full", "derived", "gamma3"]]], "result": str(tmp_path / "deep.json"),
+    })
+    assert deep["failed"] == [] and len(deep["manifest"]) == 3
+    out = tmp_path / "suite"
+    out.mkdir()
+    suite = _perfbench("worker.py", {
+        "mode": "suite", "src": src, "data": "suite", "cache_dir": str(tmp_path / "cache"),
+        "out": str(out), "megs_seed": 20260817, "result": str(tmp_path / "suite.json"),
+    })
+    checked = _perfbench("verify.py", {
+        "src": src,
+        "oracle_dir": str(tmp_path / "oracle"),
+        "suite": [{"out": str(out), "exit": suite["exit"], "seed": 20260817}],
+        "deep": [deep["manifest"]],
+        "orders": [],
+        "result": str(tmp_path / "verify.json"),
+    })
+    assert checked["failures"] == [] and checked["passed"] > 0
