@@ -27,10 +27,8 @@ from .checks import (
 from .datum import (
     Classification,
     DatumError,
-    Dependency,
     NumericalDatum,
     classify,
-    dependency,
     exceptional_pair,
     is_torsion,
 )
@@ -42,6 +40,7 @@ from .words import (
     GuardExceeded,
     WordError,
     abelianization,
+    dependency,
     evaluate,
     evaluate_branch,
     is_trivial,
@@ -60,7 +59,6 @@ __all__ = [
     "Classification",
     "DatumError",
     "DegreeGuardError",
-    "Dependency",
     "ExceedsCap",
     "FiniteQuotient",
     "GroupWord",

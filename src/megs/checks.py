@@ -50,7 +50,6 @@ from .datum import (
     Classification,
     NumericalDatum,
     classify,
-    dependency,
     exceptional_pair,
     is_constant,
 )
@@ -60,6 +59,7 @@ from .words import (
     GroupWord,
     abelianization,
     commutator_word,
+    dependency,
     evaluate,
     evaluate_branch,
     first_level_sections,
@@ -77,7 +77,8 @@ DEFAULT_SAMPLES = 20
 
 # A check function takes (datum, classification, level, quotient_at) and, as
 # its table entry asks, keyword arguments aux_level, word, seed and samples.
-# quotient_at(n) is the level-n quotient with the call's one store and guard.
+# quotient_at(n) is the level-n quotient with the call's one store and guard;
+# a check opens its largest quotient first, so the guard trips before any work.
 # It returns what it measures: verdict, certificates, notes, and the level
 # where the report's level is not the one passed in.
 QuotientAt = Callable[[int], FiniteQuotient]
@@ -207,7 +208,8 @@ def check_abelianization_index(
     }
     dep = dependency(datum)
     if dep is not None:
-        certs["dependent-target-family"] = dep.family
+        c_word, _ = dep
+        certs["dependent-target-family"] = c_word.syllables[0][1]
     return _outcome(VERIFIED if measured == predicted else REFUTED, certs)
 
 
@@ -228,8 +230,9 @@ def check_embedding(
     first vertex and sifts them into chain `target` of the level-n quotient;
     the table binds the two descriptors.
     """
+    q = quotient_at(level)
     source = quotient_at(level - 1).chain(source)
-    target = quotient_at(level).chain(target)
+    target = q.chain(target)
     pivots = planted(datum.p, level, source.perms(), [0])
     failed = np.flatnonzero(target.sift_batch(pivots)[0] >= 0)
     certs = {
@@ -316,6 +319,17 @@ def check_csp_positive(
     return _outcome(VERIFIED if _contains(certs, "contained", target, kern) else REFUTED, certs)
 
 
+def _nested(p: int, inner: GroupWord, slot: int, leaves: list[GroupWord], depth: int) -> BranchElement:
+    """`inner` nested `depth` levels down at child `slot`, every other child
+    of a node the leaf of the same position in `leaves`."""
+    element = BranchElement.leaf(inner)
+    for _ in range(depth):
+        children = [BranchElement.leaf(w) for w in leaves]
+        children[slot] = element
+        element = BranchElement.node(p, 0, children)
+    return element
+
+
 def dependent_witness(
     datum: NumericalDatum, level: int
 ) -> tuple[GroupWord, GroupWord, BranchElement]:
@@ -326,30 +340,10 @@ def dependent_witness(
     agrees with c to depth n while staying in the coset of t1 modulo the
     derived subgroup.  The datum must have linearly dependent joint vectors.
     """
-    dep = dependency(datum)
-    p = datum.p
-    c_word = GroupWord.from_syllables(p, [("b", dep.family, dep.coefficients)])
-    parts: list[tuple] = []
-    for factor in dep.factors:
-        m = factor.conjugator % p
-        parts.append(("a", -m))
-        parts.append(("b", factor.family, factor.coefficients))
-        parts.append(("a", m))
-    t1_word = GroupWord.from_syllables(p, parts)
+    c_word, t1_word = dependency(datum)
     sections = first_level_sections(c_word, datum)
-    slot = next(
-        x for x in range(p) if any(syl[0] == "b" for syl in sections[x].syllables)
-    )
-    element = BranchElement.leaf(t1_word)
-    for _ in range(level - 1):
-        children: list[BranchElement] = []
-        for x in range(p):
-            if x == slot:
-                children.append(element)
-            else:
-                children.append(BranchElement.leaf(sections[x]))
-        element = BranchElement.node(p, 0, children)
-    return c_word, t1_word, element
+    slot = next(x for x, section in enumerate(sections) if section.syllable_length)
+    return c_word, t1_word, _nested(datum.p, t1_word, slot, sections, level - 1)
 
 
 def check_csp_witness_dependent(
@@ -363,6 +357,7 @@ def check_csp_witness_dependent(
     be congruent to tn modulo the derived subgroup in the infinite group, yet
     the defect lies in every level kernel shadow tested here.
     """
+    q = quotient_at(aux_level)
     c_word, t1_word, tn = dependent_witness(datum, level)
     c_small = evaluate(c_word, datum, level)
     tn_small = evaluate_branch(tn, datum, level)
@@ -371,7 +366,6 @@ def check_csp_witness_dependent(
     ab_c = abelianization(c_word, datum)
     ab_t1 = abelianization(t1_word, datum)
 
-    q = quotient_at(aux_level)
     c_img = evaluate(c_word, datum, aux_level)
     t1_img = evaluate(t1_word, datum, aux_level)
     tn_img = evaluate_branch(tn, datum, aux_level)
@@ -409,13 +403,7 @@ def exceptional_witness(
     bk = GroupWord.generator(datum, k, 1)
     w = commutator_word(bj, bk)
     t2 = commutator_word(bj.conj(GroupWord.rooted(p, (j - k) % p)), bk)
-    element = BranchElement.leaf(t2)
-    slot = (p - k) % p
-    for _ in range(level - 2):
-        children = [BranchElement.leaf(GroupWord.identity(p)) for _ in range(p)]
-        children[slot] = element
-        element = BranchElement.node(p, 0, children)
-    return w, element
+    return w, _nested(p, t2, (p - k) % p, [GroupWord.identity(p)] * p, level - 2)
 
 
 def check_csp_witness_exceptional(
@@ -430,11 +418,10 @@ def check_csp_witness_exceptional(
     first escape level, or None when the term's congruence closure already
     holds w at every tested level.
     """
+    q = quotient_at(aux_level)
     w, tn = exceptional_witness(datum, level)
-
     in_stab = evaluate_branch(tn, datum, level).is_identity()
 
-    q = quotient_at(aux_level)
     w_img = evaluate(w, datum, aux_level)
     tn_img = evaluate_branch(tn, datum, aux_level)
     coset_ok = q.gamma3().contains(tn_img * ~w_img)

@@ -27,12 +27,16 @@ from .checks import (
     run_suite,
 )
 from .datum import DatumError, NumericalDatum, classify
-from .words import ExceedsCap, GuardExceeded, WordError, order, order_cap, parse_word, word_to_text
+from .words import ExceedsCap, GuardExceeded, WordError, branch_to_text, order, order_cap, parse_word
 
 EXIT_OK = 0
 EXIT_DEVIATION = 1
 EXIT_GUARD = 2
 EXIT_INPUT = 3
+
+# What a command returns: its stdout lines, its JSON report less the
+# "command" and "seed" keys that `main` adds, and its exit code.
+Output = tuple[list[str], dict, int]
 
 
 def _load_datum(value: str) -> NumericalDatum:
@@ -41,14 +45,6 @@ def _load_datum(value: str) -> NumericalDatum:
         with open(value) as fh:
             value = fh.read()
     return NumericalDatum.from_text(value)
-
-
-def _write_json(path: str | None, payload: dict) -> None:
-    if path is None:
-        return
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _report_exit(report: CheckReport) -> int:
@@ -63,7 +59,7 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> Output:
     datum = _load_datum(args.datum)
     cls = classify(datum)
     fields = {
@@ -85,15 +81,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     ]
     lines.append("reasons:")
     lines.extend(f"  - {reason}" for reason in cls.reasons)
-    print("\n".join(lines))
-    _write_json(
-        args.json_report,
-        {"command": "classify", "seed": args.seed, **fields, "reasons": list(cls.reasons)},
-    )
-    return EXIT_OK
+    return lines, {**fields, "reasons": list(cls.reasons)}, EXIT_OK
 
 
-def cmd_quotient(args: argparse.Namespace) -> int:
+def cmd_quotient(args: argparse.Namespace) -> Output:
     datum = _load_datum(args.datum)
     if args.level is None or args.level < 1:
         raise CheckError("quotient needs --level >= 1")
@@ -117,23 +108,17 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         lines.append(
             f"  k={k}: quotient {p}^{prefix}, kernel {p}^{total - prefix}, layer {p}^{layer}"
         )
-    print("\n".join(lines))
-    _write_json(
-        args.json_report,
-        {
-            "command": "quotient",
-            "seed": args.seed,
-            "datum": datum.canonical_line(),
-            "level": args.level,
-            "p": p,
-            "order_exponent": total,
-            "layers": rows,
-        },
-    )
-    return EXIT_OK
+    payload = {
+        "datum": datum.canonical_line(),
+        "level": args.level,
+        "p": p,
+        "order_exponent": total,
+        "layers": rows,
+    }
+    return lines, payload, EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> Output:
     datum = _load_datum(args.datum)
     store = ChainStore(args.cache_dir)
     report = run_check(
@@ -147,26 +132,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         store=store,
         degree_guard=args.modulus_guard,
     )
-    print(report.to_text())
-    _write_json(
-        args.json_report,
-        {"command": "check", "seed": args.seed, "report": report.to_json()},
-    )
-    return _report_exit(report)
+    return [report.to_text()], {"report": report.to_json()}, _report_exit(report)
 
 
-def cmd_order(args: argparse.Namespace) -> int:
+def cmd_order(args: argparse.Namespace) -> Output:
     datum = _load_datum(args.datum)
     word = parse_word(args.word, datum)
     cap = order_cap(datum, args.cap)
     lines = [f"datum: {datum.canonical_line()}", f"word: {args.word}"]
-    payload = {
-        "command": "order",
-        "seed": args.seed,
-        "datum": datum.canonical_line(),
-        "word": args.word,
-        "cap": cap,
-    }
+    payload = {"datum": datum.canonical_line(), "word": args.word, "cap": cap}
     try:
         value = order(word, datum, cap=cap)
         lines.append(f"order: {value}")
@@ -175,19 +149,7 @@ def cmd_order(args: argparse.Namespace) -> int:
         lines.append(f"order: exceeds cap {cap}")
         payload["order"] = None
         payload["exceeds_cap"] = True
-    print("\n".join(lines))
-    _write_json(args.json_report, payload)
-    return EXIT_OK
-
-
-def _branch_text(element, datum) -> str:
-    if element.children is None:
-        if element.word.is_empty():
-            return "1"
-        return word_to_text(element.word, datum)
-    inner = ", ".join(_branch_text(child, datum) for child in element.children)
-    head = f"a^{element.alpha} " if element.alpha % datum.p else ""
-    return f"{head}({inner})"
+    return lines, payload, EXIT_OK
 
 
 # Witness kind: the check that certifies it, and the builder whose last value
@@ -198,7 +160,7 @@ WITNESSES = {
 }
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
+def cmd_witness(args: argparse.Namespace) -> Output:
     datum = _load_datum(args.datum)
     check, build = WITNESSES[args.kind]
     report = run_check(
@@ -209,23 +171,12 @@ def cmd_witness(args: argparse.Namespace) -> int:
         store=ChainStore(args.cache_dir),
         degree_guard=args.modulus_guard,
     )
-    witness_text = _branch_text(build(datum, report.level)[-1], datum)
-    print(f"witness-element: {witness_text}")
-    print(report.to_text())
-    _write_json(
-        args.json_report,
-        {
-            "command": "witness",
-            "seed": args.seed,
-            "kind": args.kind,
-            "witness_element": witness_text,
-            "report": report.to_json(),
-        },
-    )
-    return _report_exit(report)
+    witness_text = branch_to_text(build(datum, report.level)[-1], datum)
+    payload = {"kind": args.kind, "witness_element": witness_text, "report": report.to_json()}
+    return [f"witness-element: {witness_text}", report.to_text()], payload, _report_exit(report)
 
 
-def cmd_suite(args: argparse.Namespace) -> int:
+def cmd_suite(args: argparse.Namespace) -> Output:
     store = ChainStore(args.cache_dir)
     rows = run_suite(store=store, degree_guard=args.modulus_guard, seed=args.seed)
     lines = [f"suite: {len(rows)} checks, seed {args.seed}"]
@@ -243,19 +194,11 @@ def cmd_suite(args: argparse.Namespace) -> int:
         if code == EXIT_DEVIATION or (code == EXIT_GUARD and worst != EXIT_DEVIATION):
             worst = code
     lines.append(f"summary: {predicted} of {len(rows)} checks as predicted")
-    print("\n".join(lines))
-    _write_json(
-        args.json_report,
-        {
-            "command": "suite",
-            "seed": args.seed,
-            "rows": [
-                {"name": name, "report": report.to_json()} for name, report in rows
-            ],
-            "summary": {"total": len(rows), "as_predicted": predicted},
-        },
-    )
-    return worst
+    payload = {
+        "rows": [{"name": name, "report": report.to_json()} for name, report in rows],
+        "summary": {"total": len(rows), "as_predicted": predicted},
+    }
+    return lines, payload, worst
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +266,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command != "suite" and not args.datum:
             raise CheckError(f"{args.command} needs --datum")
-        return args.handler(args)
+        lines, payload, code = args.handler(args)
+        print("\n".join(lines))
+        if args.json_report is not None:
+            with open(args.json_report, "w") as fh:
+                json.dump({"command": args.command, "seed": args.seed, **payload}, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        return code
     except (DegreeGuardError, GuardExceeded) as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fp import left_kernel_vector, rank_mod
+from .fp import rank_mod
 from .portraits import Portrait, label_count, level_offsets
 
 
@@ -343,79 +343,3 @@ def classify(datum: NumericalDatum) -> Classification:
         reasons=tuple(reasons),
     )
 
-
-# -- linear dependencies across families ----------------------------------------
-
-
-@dataclass(frozen=True)
-class DependencyFactor:
-    family: int
-    coefficients: tuple[int, ...]
-    conjugator: int
-
-
-@dataclass(frozen=True)
-class Dependency:
-    """A family-j combination congruent, to depth 2, to a cross-family product.
-
-    The target is the family-`family` syllable with the given exponent tuple;
-    each factor is a syllable of another family conjugated by the rooted
-    generator to the power `conjugator`.
-    """
-
-    family: int
-    coefficients: tuple[int, ...]
-    factors: tuple[DependencyFactor, ...]
-
-
-def dependency(datum: NumericalDatum) -> Dependency | None:
-    """A certified cross-family dependency, or None if the joint vectors are independent."""
-    p = datum.p
-    vectors = datum.all_vectors()
-    lam = left_kernel_vector(vectors, p)
-    if lam is None:
-        return None
-
-    split: dict[int, tuple[int, ...]] = {}
-    pos = 0
-    for j in datum.nonempty_families:
-        size = len(datum.family(j))
-        coeffs = tuple(int(x) % p for x in lam[pos : pos + size])
-        pos += size
-        if any(coeffs):
-            split[j] = coeffs
-
-    involved = sorted(split)
-    target = involved[0]
-    factors = tuple(
-        DependencyFactor(
-            family=k,
-            coefficients=tuple((-c) % p for c in split[k]),
-            conjugator=k - target,
-        )
-        for k in involved[1:]
-    )
-    dep = Dependency(family=target, coefficients=split[target], factors=factors)
-    _verify_dependency(datum, dep)
-    return dep
-
-
-def syllable_portrait(datum: NumericalDatum, j: int, coeffs: tuple[int, ...], depth: int) -> Portrait:
-    """Portrait of the family-j syllable: the product of g_i^c_i over its generators."""
-    out = Portrait.identity(datum.p, depth)
-    for i, c in enumerate(coeffs, start=1):
-        if c % datum.p:
-            out = out * generator_portrait(datum, j, i, depth) ** (c % datum.p)
-    return out
-
-
-def _verify_dependency(datum: NumericalDatum, dep: Dependency) -> None:
-    depth = 2
-    c_portrait = syllable_portrait(datum, dep.family, dep.coefficients, depth)
-    expr = Portrait.identity(datum.p, depth)
-    for factor in dep.factors:
-        base = syllable_portrait(datum, factor.family, factor.coefficients, depth)
-        conj = Portrait.rooted(datum.p, depth, factor.conjugator % datum.p)
-        expr = expr * base.conj(conj)
-    if c_portrait != expr:
-        raise DatumError("internal error: dependency fails its depth-2 verification")

@@ -6,6 +6,10 @@ Reduction merges adjacent syllables of the same kind and drops trivial ones,
 giving the normal form in the free product of the generator subgroups. The
 syllable count of the reduced word (its family syllables only) is the length
 measure that first-level sections never increase in total.
+
+Words, and the branch elements built on them, are the one representation
+of elements of the infinite group; a portrait is an element's image in a
+finite quotient (`evaluate`).
 """
 
 from __future__ import annotations
@@ -13,9 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .datum import NumericalDatum, syllable_portrait
-from .portraits import Portrait
 import numpy as np
+
+from .datum import DatumError, NumericalDatum, generator_portrait
+from .fp import left_kernel_vector
+from .portraits import Portrait
 
 
 class WordError(ValueError):
@@ -270,6 +276,18 @@ def word_to_text(word: GroupWord, datum: NumericalDatum) -> str:
     return " ".join(parts) if parts else "()"
 
 
+def branch_to_text(element: BranchElement, datum: NumericalDatum) -> str:
+    """A branch element as text: a leaf is its word, "1" when empty, and a
+    node `a^alpha (child, ..., child)`, without `a^alpha` when alpha is 0."""
+    if element.children is None:
+        if element.word.is_empty():
+            return "1"
+        return word_to_text(element.word, datum)
+    inner = ", ".join(branch_to_text(child, datum) for child in element.children)
+    head = f"a^{element.alpha} " if element.alpha % datum.p else ""
+    return f"{head}({inner})"
+
+
 # -- evaluation and sections --------------------------------------------------------
 
 
@@ -280,8 +298,44 @@ def evaluate(word: GroupWord, datum: NumericalDatum, depth: int) -> Portrait:
         if syl[0] == "a":
             out = out * Portrait.rooted(datum.p, depth, syl[1])
         else:
-            out = out * syllable_portrait(datum, syl[1], syl[2], depth)
+            for i, c in enumerate(syl[2], start=1):
+                if c % datum.p:
+                    out = out * generator_portrait(datum, syl[1], i, depth) ** (c % datum.p)
     return out
+
+
+def dependency(datum: NumericalDatum) -> tuple[GroupWord, GroupWord] | None:
+    """The words (c, t1) of a cross-family dependency, or None if the joint
+    vectors are linearly independent.
+
+    A left kernel vector of the joint vectors splits into one coefficient
+    tuple per family. c is the syllable of the first family involved, j,
+    and t1 the product over the other involved families k of their negated
+    syllables conjugated by a^(k-j). The two agree to depth 2, which is
+    checked here.
+    """
+    p = datum.p
+    lam = left_kernel_vector(datum.all_vectors(), p)
+    if lam is None:
+        return None
+    involved = []
+    pos = 0
+    for j in datum.nonempty_families:
+        size = len(datum.family(j))
+        coeffs = tuple(int(x) % p for x in lam[pos : pos + size])
+        pos += size
+        if any(coeffs):
+            involved.append((j, coeffs))
+    (target, coeffs), rest = involved[0], involved[1:]
+    c = GroupWord.from_syllables(p, [("b", target, coeffs)])
+    parts = []
+    for k, beta in rest:
+        m = (k - target) % p
+        parts += [("a", -m), ("b", k, tuple((-x) % p for x in beta)), ("a", m)]
+    t1 = GroupWord.from_syllables(p, parts)
+    if evaluate(c, datum, 2) != evaluate(t1, datum, 2):
+        raise DatumError("internal error: dependency fails its depth-2 verification")
+    return c, t1
 
 
 def _combined_vector(datum: NumericalDatum, j: int, beta: tuple[int, ...]) -> tuple[int, ...]:
@@ -343,7 +397,9 @@ def is_trivial(word: GroupWord, datum: NumericalDatum) -> bool:
 
 
 def order_cap(datum: NumericalDatum, cap: int | None = None) -> int:
-    """The cap on an order computation: the one given, or by default p^12."""
+    """The cap on an order computation: the one given, at least 1, or by default p^12."""
+    if cap is not None and cap < 1:
+        raise WordError("order needs cap >= 1")
     return datum.p**12 if cap is None else cap
 
 

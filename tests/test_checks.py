@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from megs import chains
-from megs.chains import ChainStore, quotient
+from megs.chains import ChainStore, DegreeGuardError, quotient
 from megs.checks import (
     CHECK_NAMES,
     CHECKS,
     REFUTED,
     SUITE_DATA,
+    SUITE_WORD,
     VERIFIED,
     CheckError,
     _index_p_subgroup,
@@ -145,6 +146,34 @@ def test_run_check_without_a_store_shares_one_across_its_quotients(monkeypatch):
         report = run_check("csp-witness-exceptional", P5E, store=store)
         assert report.verdict == VERIFIED
         assert len(closures) == 6
+
+
+# Levels a check opens beyond the level asked for and its aux level:
+# full-section-vertex takes the level as a depth bound and opens the quotient
+# two levels deeper.
+EXTRA_DEPTH = {"full-section-vertex": 2}
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_every_check_trips_the_degree_guard_before_any_work(name, monkeypatch):
+    # The guard admits every level below the largest quotient the check
+    # opens, so a closure or an evaluation before that quotient would run.
+    spec = CHECKS[name]
+    data = [NumericalDatum.from_text(text) for _, text in SUITE_DATA]
+    datum = next(d for d in data if spec.applies(classify(d), d) is None)
+    level = spec.levels(classify(datum), datum)[1]
+    top = level + (spec.aux or 0) + EXTRA_DEPTH.get(name, 0)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work before the degree guard tripped")
+
+    for target in ("megs.chains.close_chain", "megs.checks.evaluate", "megs.checks.evaluate_branch"):
+        monkeypatch.setattr(target, fail)
+    with pytest.raises(DegreeGuardError, match=f"degree {datum.p ** top} exceeds"):
+        run_check(
+            name, datum, level=level, word=SUITE_WORD if spec.word else None,
+            store=ChainStore(), degree_guard=datum.p ** top - 1,
+        )
 
 
 def test_fractality_levels():

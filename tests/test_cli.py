@@ -91,6 +91,16 @@ def test_samples_below_one_exit_three(capsys, samples):
     assert "samples >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_exits_three(capsys, cap):
+    # `--cap 0` once printed "order: 1" for the identity, above the cap.
+    code = main(["order", "--datum", GS, "()", "--cap", cap])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "cap >= 1" in captured.err
+
+
 def test_bad_datum_exits_three(capsys):
     code = main(["classify", "--datum", "p = 4; E1 = (1, 2)"])
     assert code == 3

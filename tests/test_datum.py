@@ -9,7 +9,6 @@ from megs.datum import (
     DatumError,
     NumericalDatum,
     classify,
-    dependency,
     exceptional_pair,
     generator_portrait,
     is_constant,
@@ -188,32 +187,6 @@ def test_symmetric_pair_without_exceptional_scaling():
     assert cls.dimV == 2
     assert not cls.in_E_class
     assert cls.csp == "HasCSP"
-
-
-def test_dependency_none_for_independent():
-    assert dependency(parse("p = 3; E1 = (1, 2)")) is None
-    assert dependency(parse("p = 3; E1 = (1, 2); E2 = (2, 2)")) is None
-
-
-def test_dependency_certified_for_dependent_pair():
-    d = parse("p = 3; E1 = (1, 2); E2 = (1, 2)")
-    dep = dependency(d)
-    assert dep is not None
-    assert dep.family == 1
-    assert len(dep.factors) == 1
-    assert dep.factors[0].family == 2
-    # The constructor verifies the depth-2 congruence internally; re-check it.
-    depth = 2
-    c = Portrait.identity(3, depth)
-    for i, coeff in enumerate(dep.coefficients, start=1):
-        c = c * generator_portrait(d, dep.family, i, depth) ** coeff
-    rhs = Portrait.identity(3, depth)
-    for f in dep.factors:
-        base = Portrait.identity(3, depth)
-        for i, coeff in enumerate(f.coefficients, start=1):
-            base = base * generator_portrait(d, f.family, i, depth) ** coeff
-        rhs = rhs * base.conj(Portrait.rooted(3, depth, f.conjugator % 3))
-    assert c == rhs
 
 
 def test_generator_portrait_sections():

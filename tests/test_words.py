@@ -4,7 +4,7 @@ import time
 import pytest
 
 from megs import words
-from megs.datum import NumericalDatum
+from megs.datum import NumericalDatum, generator_portrait
 from megs.portraits import Portrait
 from megs.words import (
     BranchElement,
@@ -14,6 +14,7 @@ from megs.words import (
     WordError,
     abelianization,
     commutator_word,
+    dependency,
     evaluate,
     evaluate_branch,
     first_level_sections,
@@ -238,3 +239,21 @@ def test_large_powers_finish_or_trip_the_syllable_guard():
     assert time.perf_counter() - start < 1
     # Just inside the guard the power is still built.
     assert (parse_word("a b[1]", GS) ** words.MAX_SYLLABLES).syllable_length == words.MAX_SYLLABLES
+
+
+def test_dependency_none_for_independent():
+    assert dependency(NumericalDatum.from_text("p = 3; E1 = (1, 2)")) is None
+    assert dependency(NumericalDatum.from_text("p = 3; E1 = (1, 2); E2 = (2, 2)")) is None
+
+
+def test_dependency_certified_for_dependent_pair():
+    d = NumericalDatum.from_text("p = 3; E1 = (1, 2); E2 = (1, 2)")
+    c, t1 = dependency(d)
+    assert word_to_text(c, d) == "b[1]^2"
+    # t1's syllables stay as built: a^-1 is not reduced to a^2.
+    assert word_to_text(t1, d) == "a^-1 b[2]^2 a"
+    # The constructor verifies the depth-2 congruence through `evaluate`;
+    # re-check it with products of generator portraits.
+    a = Portrait.rooted(3, 2, 1)
+    b1, b2 = (generator_portrait(d, j, 1, 2) for j in (1, 2))
+    assert b1 ** 2 == ~a * b2 ** 2 * a
