@@ -707,15 +707,15 @@ def block_product_chain(p: int, depth: int, k: int, sub: SubgroupChain) -> Subgr
 # -- persistent store -----------------------------------------------------------
 
 
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 class ChainStore:
     """Memoizes chains in memory and, when given a directory, on disk as JSON.
 
     A file is used only when it has the current format, the requested p and
-    depth, a digest that matches its generators and levels, and levels whose
-    rows and representatives agree; any other file is rebuilt and replaced.
+    depth, a digest that matches its generators and levels, and pivots that
+    pass `_chain_from_dict`'s checks; any other file is rebuilt and replaced.
     """
 
     def __init__(self, cache_dir: str | None = None):
@@ -764,18 +764,18 @@ def _chain_json(chain: SubgroupChain) -> bytes:
     """A chain's cache file: compact JSON, encoded a whole stack at a time.
 
     The bytes are those of json.dumps with the separators "," and ":" of
-    {"v": 2, "p", "depth", "gens": the generators' labels, "levels": one
-    list per level of [column, row, representative's labels], "sha256":
-    chain_digest}. Files that older versions wrote with ", " and ": " hold
-    the same value and load the same way. Labels and rows are encoded in
-    the smallest unsigned type that holds p-1, uint8 up to p = 256.
+    {"v": 3, "p", "depth", "gens": the generators' labels, "levels": one
+    list per level of [column, [], representative's labels], "sha256":
+    chain_digest}. The row slot stays empty: a pivot's row is its
+    representative's level-d labels. Files spaced with ", " and ": " load
+    the same way. Labels are encoded in the smallest unsigned type that
+    holds p-1, uint8 up to p = 256.
     """
     p = chain.p
     small = np.min_scalar_type(p - 1)
     levels = [(lv.cols, lv.rows, lv.labels()) for lv in chain.levels]
     entries = b",".join(
-        b"[%s]" % _json_rows("[", cols[:, None], ",[", rows.astype(small), "],[", reps.astype(small), "]]")
-        for cols, rows, reps in levels
+        b"[%s]" % _json_rows("[", cols[:, None], ",[],[", reps.astype(small), "]]") for cols, _, reps in levels
     )
     return b'{"v":%d,"p":%d,"depth":%d,"gens":[%s],"levels":[%s],"sha256":"%s"}' % (
         CACHE_FORMAT,
@@ -847,11 +847,12 @@ def _chain_from_dict(data: dict, p: int, depth: int) -> SubgroupChain:
 
     The generators and each level's representatives are read as one int16
     stack each and checked as a whole: residues mod p, no label above level
-    d, level-d labels equal to the row, and the row's pivot column holding 1,
-    as `_eliminate` stores them. The digest is taken over the same stacks.
-    Then each level is appended as one stack: its columns, its rows and,
-    above the deepest level, the representatives' leaf permutations, built
-    from their labels in one call.
+    d, an empty row slot, and a 1 in the pivot column of the level-d labels,
+    as `_eliminate` stores them. Those labels, a slice of the stack, are the
+    level's rows. The digest is taken over the same stacks. Then each level
+    is appended as one stack: its columns, its rows and, above the deepest
+    level, the representatives' leaf permutations, built from their labels
+    in one call.
     """
     if data["v"] != CACHE_FORMAT or data["p"] != p or data["depth"] != depth:
         raise ValueError("cache file has another format, p or depth")
@@ -865,17 +866,15 @@ def _chain_from_dict(data: dict, p: int, depth: int) -> SubgroupChain:
         if not lv:
             levels.append(((), (), ()))
             continue
-        if any(len(entry) != 3 for entry in lv):
+        if any(len(entry) != 3 or entry[1] != [] for entry in lv):
             raise ValueError(f"cache file level {d} has a malformed pivot")
-        cols, rows, reps = zip(*lv)
+        cols, _, reps = zip(*lv)
         cols = np.array(cols)
-        rows = np.array(rows, dtype=np.int64)
         reps = _label_stack(p, depth, reps)
+        rows = reps[:, offs[d] : offs[d + 1]]
         if (
             cols.dtype.kind != "i"
-            or rows.shape != (len(lv), p**d)
             or reps[:, : offs[d]].any()
-            or not np.array_equal(reps[:, offs[d] : offs[d + 1]], rows)
             or not ((0 <= cols) & (cols < p**d)).all()
             or not (rows[np.arange(len(lv)), cols] == 1).all()
         ):

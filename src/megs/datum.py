@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fp import rank_mod
-from .portraits import Portrait, label_count, level_offsets
+from .portraits import Portrait, label_count, leaf_count, level_offsets
 
 
 class DatumError(ValueError):
@@ -215,6 +215,7 @@ def generator_portrait(datum: NumericalDatum, j: int, i: int, depth: int) -> Por
         raise DatumError(f"family {j} is empty or out of range")
     if not 1 <= i <= len(datum.family(j)):
         raise DatumError(f"family {j} has no generator {i}")
+    leaf_count(datum.p, depth)
     return _generator_portrait_cached(datum, j, i, depth)
 
 

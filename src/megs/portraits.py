@@ -18,6 +18,10 @@ class TreeError(ValueError):
     """Malformed portrait data or an operation outside its domain."""
 
 
+class GuardExceeded(Exception):
+    """A recursion or size guard tripped before the computation settled."""
+
+
 @lru_cache(maxsize=None)
 def level_offsets(p: int, depth: int) -> tuple[int, ...]:
     """Start index of each level's label block; the last entry is the total."""
@@ -33,9 +37,16 @@ def label_count(p: int, depth: int) -> int:
     return level_offsets(p, depth)[-1]
 
 
+def leaf_count(p: int, depth: int) -> int:
+    """p^depth, the length of a leaf permutation; GuardExceeded past int32."""
+    if p**depth > 2**31 - 1:
+        raise GuardExceeded(f"{p}^{depth} leaves do not fit an int32 leaf permutation")
+    return p**depth
+
+
 def identity_perm(p: int, depth: int) -> np.ndarray:
     """The identity leaf permutation (int32, read-only, shared)."""
-    return _identity_row(p**depth, np.dtype(np.int32))
+    return _identity_row(leaf_count(p, depth), np.dtype(np.int32))
 
 
 @lru_cache(maxsize=None)
@@ -163,9 +174,7 @@ class Portrait:
         arr = np.asarray(labels, dtype=np.int16)
         want = label_count(p, depth)
         if arr.shape != (want,):
-            raise TreeError(
-                f"expected {want} labels for depth {depth}, got shape {arr.shape}"
-            )
+            raise TreeError(f"expected {want} labels for depth {depth}, got shape {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= p):
             raise TreeError("labels must be residues in 0..p-1")
         perm = _perm_from_labels(p, depth, arr)
@@ -191,7 +200,7 @@ class Portrait:
     @classmethod
     def rooted(cls, p: int, depth: int, k: int) -> "Portrait":
         """The automorphism a^k rotating the top-level subtrees."""
-        leaves = p**depth
+        leaves = leaf_count(p, depth)
         perm = (np.arange(leaves, dtype=np.int32) + k % p * (leaves // p)) % leaves
         return cls._from_perm(p, depth, perm)
 
@@ -212,11 +221,7 @@ class Portrait:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Portrait):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.depth == other.depth
-            and self.perm.tobytes() == other.perm.tobytes()
-        )
+        return (self.p, self.depth, self.perm.tobytes()) == (other.p, other.depth, other.perm.tobytes())
 
     def __hash__(self) -> int:
         return hash((self.p, self.depth, self.perm.tobytes()))
@@ -229,9 +234,7 @@ class Portrait:
     def act(self, vertex: tuple[int, ...]) -> tuple[int, ...]:
         """Image of a vertex (word of letters in 1..p, length at most depth)."""
         if len(vertex) > self.depth:
-            raise TreeError(
-                f"vertex of length {len(vertex)} exceeds portrait depth {self.depth}"
-            )
+            raise TreeError(f"vertex of length {len(vertex)} exceeds portrait depth {self.depth}")
         p = self.p
         width = p ** (self.depth - len(vertex))
         image = int(self.perm[vertex_position(vertex, p) * width]) // width

@@ -21,7 +21,7 @@ import numpy as np
 
 from .datum import DatumError, NumericalDatum, generator_portrait
 from .fp import left_kernel_vector
-from .portraits import Portrait
+from .portraits import GuardExceeded, Portrait, leaf_count
 
 
 class WordError(ValueError):
@@ -34,10 +34,6 @@ class ExceedsCap(Exception):
     def __init__(self, cap: int):
         super().__init__(f"order exceeds cap {cap}")
         self.cap = cap
-
-
-class GuardExceeded(Exception):
-    """A recursion or size guard tripped before the computation settled."""
 
 
 # Guards of is_trivial: section levels descended, and syllables in one word.
@@ -468,14 +464,14 @@ class BranchElement:
 
 
 def evaluate_branch(element: BranchElement, datum: NumericalDatum, depth: int) -> Portrait:
-    """Portrait of a branch element at the given depth; total on all inputs."""
+    """Portrait of a branch element at the given depth; total while p^depth fits int32."""
     p = datum.p
     if element.children is None:
         return evaluate(element.word, datum, depth)
     if depth == 0:
         return Portrait.identity(p, 0)
     # Leaf (x, rest) goes to ((x + alpha) % p, image of rest under child x).
-    width = p ** (depth - 1)
+    width = leaf_count(p, depth) // p
     perm = np.concatenate([
         ((x + element.alpha) % p) * width + evaluate_branch(child, datum, depth - 1).perm
         for x, child in enumerate(element.children)

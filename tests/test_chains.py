@@ -726,15 +726,19 @@ def test_sift_raises_when_a_residual_moves_a_level_above_the_deepest():
         chain.sift_batch(np.stack([Portrait.identity(3, 2).perm, a.perm]))
 
 
-def chain_to_dict(chain):
-    """The value a cache file holds, as lists."""
+def chain_to_dict(chain, version=CACHE_FORMAT):
+    """The value a cache file holds, as lists. Format 2 also stored each
+    pivot's row, which format 3 leaves empty."""
     return {
-        "v": CACHE_FORMAT,
+        "v": version,
         "p": chain.p,
         "depth": chain.depth,
         "gens": chain.gens.tolist(),
         "levels": [
-            [[col, row.tolist(), rep.labels.tolist()] for col, row, rep in pivot_entries(chain, d)]
+            [
+                [col, row.tolist() if version == 2 else [], rep.labels.tolist()]
+                for col, row, rep in pivot_entries(chain, d)
+            ]
             for d in range(chain.depth)
         ],
         "sha256": chain_digest(chain),
@@ -773,10 +777,10 @@ def test_json_rows_writes_numbers_of_any_width():
     assert _json_rows("[", np.empty((0, 3), np.uint8), "]") == b""
 
 
-def test_a_spaced_file_of_an_older_version_loads_and_is_kept(tmp_path):
+def test_a_spaced_file_loads_and_is_kept(tmp_path):
     chain = quotient(GS, 4, store=ChainStore(cache_dir=str(tmp_path))).full()
     (path,) = tmp_path.glob("chain-*.json")
-    spaced = json.dumps(chain_to_dict(chain))  # ", " and ": ", as older versions wrote
+    spaced = json.dumps(chain_to_dict(chain))  # ", " and ": ", as json.dumps writes by default
     assert ", " in spaced and len(spaced) > len(path.read_text())
     path.write_text(spaced)
     before = os.stat(path).st_mtime_ns
@@ -788,6 +792,31 @@ def test_a_spaced_file_of_an_older_version_loads_and_is_kept(tmp_path):
     assert chain_digest(reloaded) == chain_digest(chain)
     assert path.read_text() == spaced
     assert os.stat(path).st_mtime_ns == before
+
+
+@pytest.mark.parametrize("text, level", [("p = 3; E1 = (1, 2)", 4), ("p = 5; E1 = (1, 2, 0, 0)", 3)])
+def test_a_format_2_file_is_rebuilt_once_into_format_3(tmp_path, text, level):
+    # Format 2 stored each pivot's row beside its representative; such a
+    # file is rebuilt once and replaced by a format-3 file of the same digest.
+    datum = NumericalDatum.from_text(text)
+    chain = quotient(datum, level).full()
+    store = ChainStore(cache_dir=str(tmp_path))
+    path = tmp_path / os.path.basename(store._path(datum, level, "full"))
+    old = json.dumps(chain_to_dict(chain, version=2), separators=(",", ":"))
+    path.write_text(old)
+    builds = []
+
+    def builder():
+        builds.append(1)
+        return quotient(datum, level).full()
+
+    assert chain_digest(store.get_or_build(datum, level, "full", builder)) == chain_digest(chain)
+    assert builds == [1]
+    assert path.read_bytes() == _chain_json(chain) and len(path.read_text()) < len(old)
+    assert json.loads(path.read_text())["sha256"] == json.loads(old)["sha256"]
+    reloaded = ChainStore(cache_dir=str(tmp_path)).get_or_build(datum, level, "full", builder)
+    assert chain_digest(reloaded) == chain_digest(chain) and builds == [1]
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_embed_and_block_product():
@@ -877,8 +906,8 @@ def test_a_reloaded_chain_sifts_like_the_chain_that_wrote_it(tmp_path, text, lev
 
 # sha256 of the bytes of a cold cache's file; any drift in the encoding shows.
 CACHE_FILE_SHA256 = [
-    ("p = 3; E1 = (2, 2)", 4, "f671d6a3c9ba261f41f13813bd0256bc161e1858f49ef86e3172ef0dbce011b3"),
-    ("p = 5; E1 = (1, 2, 0, 0)", 3, "068ad4be3b0db114b07a0023147e9d32215b8fa5ef34aaa7bc4903a8dfd0bbfb"),
+    ("p = 3; E1 = (2, 2)", 4, "621bbbc16181d8db2ed9ba2cb4526e186225da29e2fca9e52b67241cbd02c840"),
+    ("p = 5; E1 = (1, 2, 0, 0)", 3, "4bcd2bb4c5e94f288544fa5c52055a242062a21c00ffe6e1d068c75b18c471f0"),
 ]
 
 
@@ -943,15 +972,25 @@ def _old_format(data):
 
 
 def _digest_of(data):
-    """The digest the store takes of this file's own content (labels int16),
-    so only the pivot checks can object to an edit."""
-    levels = [[np.array(x, np.int16) for x in zip(*lv)] if lv else ((), (), ()) for lv in data["levels"]]
+    """The digest the store takes of this file's own content (labels int16,
+    rows read off them), so only the pivot checks can object to an edit."""
+    offs = level_offsets(data["p"], data["depth"])
+    levels = []
+    for d, lv in enumerate(data["levels"]):
+        reps = np.array([entry[2] for entry in lv], np.int16).reshape(len(lv), -1)
+        levels.append(([entry[0] for entry in lv], reps[:, offs[d] : offs[d + 1]], reps))
     return chains._digest(np.array(data["gens"], np.int16), levels)
 
 
-def _edit_row_and_digest(data):
-    col, row, _ = data["levels"][1][0]
-    row[col] = 2
+def _fill_row_slot_and_digest(data):
+    _, row, rep = data["levels"][1][0]
+    row.extend(rep[1:1 + data["p"]])
+    data["sha256"] = _digest_of(data)
+
+
+def _pivot_label_not_one_and_digest(data):
+    col, _, rep = data["levels"][1][0]
+    rep[level_offsets(data["p"], data["depth"])[1] + col] = 2
     data["sha256"] = _digest_of(data)
 
 
@@ -969,7 +1008,7 @@ def _generator_label_out_of_range(data):
 
 
 def _column_out_of_range_and_digest(data):
-    data["levels"][1][0][0] = len(data["levels"][1][0][1])
+    data["levels"][1][0][0] = data["p"]
     data["sha256"] = _digest_of(data)
 
 
@@ -978,7 +1017,8 @@ def _column_out_of_range_and_digest(data):
     [
         _pop_last_pivot,
         _old_format,
-        _edit_row_and_digest,
+        _fill_row_slot_and_digest,
+        _pivot_label_not_one_and_digest,
         _rep_moves_upper_level_and_digest,
         _fourth_item_in_a_pivot,
         _generator_label_out_of_range,

@@ -231,12 +231,12 @@ def test_cold_suite_matches_the_golden_output(tmp_path, capsys):
     # seeded with commutators of pivots.
     files = list((tmp_path / "cache").iterdir())
     assert len(files) == 124
-    assert sum(path.stat().st_size for path in files) == 502_849
+    assert sum(path.stat().st_size for path in files) == 391_941
     digest = hashlib.sha256()
     for path in sorted(files):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
-    assert digest.hexdigest() == "73f8e11b3bb129eecbb39989d965b3919a58d734e4d94da8a93eaec062603e80"
+    assert digest.hexdigest() == "4ec6af66c94cfe4eeb4131872c07335add7e9d04a368be214704d7e5a9f471df"
     # A warm pass on the cache it left gives the same output.
     assert main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / "suite-seed-20260817.out").read_text()

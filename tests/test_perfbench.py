@@ -56,8 +56,9 @@ def _perfbench(script, job):
 
 def test_benchmark_outputs_pass_the_benchmarks_own_checks(tmp_path):
     # The checks the benchmark runs on its outputs: a renamed entry point
-    # (quotient, suite_plan, CHECK_NAMES) or a suite row that no longer ends
-    # as predicted fails here.
+    # (quotient, suite_plan, CHECK_NAMES), a suite row that no longer ends
+    # as predicted, or a cache file the benchmark's reader cannot read or
+    # whose chains do not sift as their generators say fails here.
     src = str(ROOT / "src")
     text = "p = 3; E1 = (2, 2)"
     deep = _perfbench("worker.py", {
@@ -74,7 +75,7 @@ def test_benchmark_outputs_pass_the_benchmarks_own_checks(tmp_path):
     checked = _perfbench("verify.py", {
         "src": src,
         "oracle_dir": str(tmp_path / "oracle"),
-        "suite": [{"out": str(out), "exit": suite["exit"], "seed": 20260817}],
+        "suite": [{"out": str(out), "exit": suite["exit"], "seed": 20260817, "cache": str(tmp_path / "cache")}],
         "deep": [deep["manifest"]],
         "orders": [],
         "result": str(tmp_path / "verify.json"),

@@ -4,8 +4,8 @@ import time
 import pytest
 
 from megs import words
-from megs.datum import NumericalDatum, generator_portrait
-from megs.portraits import Portrait
+from megs.datum import NumericalDatum, generator_portrait, generator_portraits
+from megs.portraits import Portrait, leaf_count
 from megs.words import (
     BranchElement,
     ExceedsCap,
@@ -217,6 +217,26 @@ def test_branch_element_nested():
     img = evaluate_branch(outer, GS, 4)
     assert img.section((2,)) == evaluate_branch(inner, GS, 3)
     assert img.section((1,)).is_identity()
+
+
+def test_leaf_permutations_past_int32_trip_the_guard():
+    # Leaf permutations are int32: 3^40 leaves are refused before any array
+    # is built, with the error the CLI maps to exit 2.
+    w = parse_word("a b[1]", GS)
+    nested = BranchElement.node(3, 0, [BranchElement.leaf(w)] * 3)
+    for build in (
+        lambda: generator_portraits(GS, 40),
+        lambda: generator_portrait(GS, 1, 1, 40),
+        lambda: evaluate(w, GS, 40),
+        lambda: evaluate_branch(nested, GS, 40),
+        lambda: Portrait.identity(3, 40),
+        lambda: Portrait.rooted(3, 40, 1),
+    ):
+        with pytest.raises(GuardExceeded, match="int32"):
+            build()
+    assert leaf_count(2, 30) == 2**30
+    with pytest.raises(GuardExceeded):
+        leaf_count(2, 31)
 
 
 def test_powers_by_squaring_match_repeated_products():
