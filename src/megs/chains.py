@@ -761,61 +761,22 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 def _chain_json(chain: SubgroupChain) -> bytes:
-    """A chain's cache file: compact JSON, encoded a whole stack at a time.
-
-    The bytes are those of json.dumps with the separators "," and ":" of
-    {"v": 3, "p", "depth", "gens": the generators' labels, "levels": one
-    list per level of [column, [], representative's labels], "sha256":
+    """A chain's cache file: json.dumps with the separators "," and ":" of
+    {"v": 3, "p", "depth", "gens": the generators' labels, "levels": one list
+    per level of [column, [], representative's labels], "sha256":
     chain_digest}. The row slot stays empty: a pivot's row is its
     representative's level-d labels. Files spaced with ", " and ": " load
-    the same way. Labels are encoded in the smallest unsigned type that
-    holds p-1, uint8 up to p = 256.
-    """
-    p = chain.p
-    small = np.min_scalar_type(p - 1)
+    the same way."""
     levels = [(lv.cols, lv.rows, lv.labels()) for lv in chain.levels]
-    entries = b",".join(
-        b"[%s]" % _json_rows("[", cols[:, None], ",[],[", reps.astype(small), "]]") for cols, _, reps in levels
-    )
-    return b'{"v":%d,"p":%d,"depth":%d,"gens":[%s],"levels":[%s],"sha256":"%s"}' % (
-        CACHE_FORMAT,
-        p,
-        chain.depth,
-        _json_rows("[", chain.gens.astype(small), "]"),
-        entries,
-        _digest(chain.gens, levels).encode(),
-    )
-
-
-def _json_rows(*pieces) -> bytes:
-    """Compact JSON of the rows of integer stacks, the rows joined by ",".
-
-    `pieces` are literal texts and stacks of nonnegative integers, one row
-    per output row each; output row i is the pieces in order, with the items
-    of row i of each stack joined by ",". The text of every row is one row of
-    a uint8 array, each number a field of its stack's widest digit count,
-    and one mask drops the leading zeros of every field, so no number
-    becomes a Python string.
-    """
-    template, fields = bytearray(), []
-    for piece in pieces:
-        if isinstance(piece, str):
-            template += piece.encode()
-            continue
-        width = len(str(int(piece.max()))) if piece.size else 1
-        fields.append((piece, len(template), width))
-        template += b",".join([b"0" * width] * piece.shape[1])
-    template += b","
-    out = np.tile(np.frombuffer(template, np.uint8), (len(fields[0][0]), 1))
-    keep = np.ones(out.shape, dtype=bool)
-    for piece, start, width in fields:
-        stop = start + piece.shape[1] * (width + 1)
-        for t in range(width):
-            scale = 10 ** (width - 1 - t)
-            out[:, start + t : stop : width + 1] = piece // scale % 10 + 48
-            if t < width - 1:
-                keep[:, start + t : stop : width + 1] = piece >= scale
-    return out[keep][:-1].tobytes()
+    data = {
+        "v": CACHE_FORMAT,
+        "p": chain.p,
+        "depth": chain.depth,
+        "gens": chain.gens.tolist(),
+        "levels": [[[col, [], rep] for col, rep in zip(cols.tolist(), reps.tolist())] for cols, _, reps in levels],
+        "sha256": _digest(chain.gens, levels),
+    }
+    return json.dumps(data, separators=(",", ":")).encode()
 
 
 def chain_digest(chain: SubgroupChain) -> str:
@@ -927,8 +888,7 @@ class FiniteQuotient:
         self.datum = datum
         self.level = level
         self.store = store if store is not None else ChainStore()
-        self.gens = generator_portraits(datum, level)
-        self.gen_perms = np.stack([g.perm for g in self.gens.values()])
+        self.gen_perms = np.stack([g.perm for g in generator_portraits(datum, level).values()])
 
     # -- chain accessors -----------------------------------------------------
 

@@ -272,7 +272,7 @@ def check_subdirect(
     """
     route = "derived" if cls.branch_over_derived else "gamma3"
     q = quotient_at(level)
-    chain = q.derived() if route == "derived" else q.gamma3()
+    chain = q.chain(route)
     full = quotient_at(level - 1)
     full_exp = full.order_exponent()
     section_exps = section_exponents(chain, q.gen_perms, 1)
@@ -309,7 +309,7 @@ def check_csp_positive(
     route, k = _csp_route(cls, datum)
     q = quotient_at(level)
     kern = q.kernel(k)
-    target = q.derived() if route == "derived" else q.gamma3()
+    target = q.chain(route)
     certs = {
         "route": route,
         "kernel-level": k,
@@ -541,8 +541,7 @@ def check_normal_closure_blocks(
     def first_level(descriptor: str) -> int | None:
         for n in range(1, level):
             small = quotient_at(level - n)
-            sub = small.gamma3() if descriptor == "gamma3" else small.derived()
-            blocks = block_product_chain(datum.p, level, n, sub)
+            blocks = block_product_chain(datum.p, level, n, small.chain(descriptor))
             if closure.contains_chain(blocks)[0]:
                 return n
         return None
@@ -753,28 +752,46 @@ class CheckSpec:
         return low, low if self.level is None else self.level
 
 
+def _expect_abelianization_index(cls: Classification, datum: NumericalDatum, level: int) -> Prediction:
+    """Independent joint vectors reach the index p^(1+r) from level r+1 on.
+    Constant-class data with two families reach it too, as no branch
+    containment forces a merge; with three or more families the index stays
+    at p^3 (measured at p = 3 to level 5, at p = 5 to level 4, at p = 7 at
+    level 3). Dependent joint vectors merge the involved generator classes
+    in every congruence abelianization of data that branch over the derived
+    subgroup; the other dependent data get no prediction."""
+    if cls.in_G_class and len(datum.nonempty_families) > 2:
+        return None, (
+            "with three or more constant singleton families the measured index "
+            "is p^3, below p^(1+r), so no verdict is predicted",
+        )
+    if cls.dimV == datum.total_generators or cls.in_G_class:
+        if level > datum.total_generators:
+            return VERIFIED, ()
+        return None, ("the index p^(1+r) is predicted only from level r+1 on",)
+    if cls.branch_over_derived:
+        return REFUTED, (
+            "the joint defining vectors are linearly dependent, so the involved "
+            "generator classes coincide in every congruence abelianization and "
+            "the full-rank index cannot appear at any level",
+        )
+    return None, ()
+
+
 CHECKS: dict[str, CheckSpec] = {
-    # Dependent joint vectors merge the involved generator classes in every
-    # congruence abelianization of data that branch over the derived subgroup.
-    # Constant-class data keep the full rank, as no branch containment forces
-    # the merge; the other dependent data get no prediction.
-    "abelianization-index": CheckSpec(
-        check_abelianization_index,
-        expect=lambda cls, datum, level: (
-            (VERIFIED, ()) if cls.dimV == datum.total_generators or cls.in_G_class
-            else (REFUTED, (
-                "the joint defining vectors are linearly dependent, so the involved "
-                "generator classes coincide in every congruence abelianization and "
-                "the full-rank index cannot appear at any level",
-            )) if cls.branch_over_derived
-            else (None, ())
-        ),
-    ),
+    "abelianization-index": CheckSpec(check_abelianization_index, expect=_expect_abelianization_index),
     # The derived subgroup embeds below one vertex exactly when some defining
     # vector is non-symmetric or the joint span has dimension at least two.
     "branch-over-derived": CheckSpec(
         partial(check_embedding, "derived", "kernel-derived:1"),
-        expect=lambda cls, datum, level: (VERIFIED if cls.branch_over_derived else REFUTED, ()),
+        expect=lambda cls, datum, level: (
+            (VERIFIED, ()) if cls.branch_over_derived
+            else (VERIFIED, (
+                "at level 2 the source is the derived subgroup of the level-1 "
+                "quotient C_p, which is trivial, so the embedding holds vacuously",
+            )) if level == 2
+            else (REFUTED, ())
+        ),
     ),
     "branch-over-gamma3": CheckSpec(
         partial(check_embedding, "gamma3", "kernel-gamma3:1"), requires=(NOT_CONSTANT_CLASS,),
@@ -793,13 +810,21 @@ CHECKS: dict[str, CheckSpec] = {
             "here would be a rigorous refutation at the tested level",
         ) if cls.in_E_class else ()),
     ),
+    # For a single constant singleton family the sections are whole at level
+    # 2, exponents [1, 1, 1] against 1, and fall short from level 3 on. The
+    # wording of the level-3 reason is kept as the suite's golden report has it.
     "subdirect": CheckSpec(
         check_subdirect, requires=(NOT_CONSTANT_CLASS,),
         expect=lambda cls, datum, level: (
-            (REFUTED, (
+            (VERIFIED, ()) if not single_constant_family(datum)
+            else (VERIFIED, (
+                "for a single constant singleton family the tested sections at "
+                "level 2 are the whole level-1 quotient C_p",
+            )) if level == 2
+            else (REFUTED, (
                 "for a single constant singleton family the tested sections stay "
                 "a fixed index below the full quotient at every level",
-            )) if single_constant_family(datum) else (VERIFIED, ())
+            ))
         ),
     ),
     "second-derived": CheckSpec(
@@ -840,9 +865,13 @@ CHECKS: dict[str, CheckSpec] = {
             )) if cls.in_G_class or single_constant_family(datum) else (VERIFIED, ())
         ),
     ),
+    # Constant-class data and a single constant singleton family are not
+    # branch; the search finds no full section within the bound (levels 2-4).
     "full-section-vertex": CheckSpec(
         check_full_section_vertex, level=2, min_level=1, word=True, suite_data=("single-12",),
-        expect=lambda cls, datum, level: (None if cls.in_G_class else VERIFIED, ()),
+        expect=lambda cls, datum, level: (
+            None if cls.in_G_class or single_constant_family(datum) else VERIFIED, ()
+        ),
     ),
     "normal-closure-blocks": CheckSpec(
         check_normal_closure_blocks, level=4, word=True, requires=(BRANCH_OVER_DERIVED,),

@@ -21,7 +21,6 @@ from megs.chains import (
     SubgroupChain,
     CACHE_FORMAT,
     _chain_json,
-    _json_rows,
     _residue_matmul,
     _write_atomic,
     block_product_chain,
@@ -49,10 +48,11 @@ def brute_closure(p, depth, seeds, conjugators=()):
     out = [ident]
     seen = {ident}
     frontier = deque([ident])
+    steps = list(seeds) + [~h for h in seeds]
+    conjugations = [(~c, c) for c in conjugators]
     while frontier:
         g = frontier.popleft()
-        cands = [g * h for h in seeds] + [g * ~h for h in seeds]
-        cands += [(~c) * g * c for c in conjugators]
+        cands = [g * h for h in steps] + [c_inv * g * c for c_inv, c in conjugations]
         for nxt in cands:
             if nxt not in seen:
                 seen.add(nxt)
@@ -71,6 +71,37 @@ def test_full_chain_matches_brute_force():
         rng = random.Random(7)
         for _ in range(40):
             assert q.full().contains(rng.choice(elements))
+
+
+# A p = 3 family is {0}, one of the four lines of F_3^2 or the plane: the
+# directed generators of a family commute and b_v b_w = b_(v+w), so the group
+# depends only on each family's span.
+P3_SPANS = ((), ((1, 0),), ((0, 1),), ((1, 1),), ((1, 2),), ((1, 0), (0, 1)))
+
+
+def _assert_full_and_derived_match_brute_force(datum, depth):
+    """Orders of `full` and `derived`, and membership of every element brute
+    force enumerates; derived is the closure of the generators' commutators
+    under conjugation by the generators."""
+    q = quotient(datum, depth)
+    gens = list(generator_portraits(datum, depth).values())
+    comms = [commutator(x, y) for i, x in enumerate(gens) for y in gens[i + 1 :]]
+    cases = ((q.full(), brute_closure(3, depth, gens)), (q.derived(), brute_closure(3, depth, comms, gens)))
+    for chain, elements in cases:
+        assert chain.order() == len(elements), datum.canonical_line()
+        assert (chain.sift_batch(np.stack([g.perm for g in elements]))[0] < 0).all(), datum.canonical_line()
+
+
+def test_every_p3_span_class_matches_brute_force_at_depth_2():
+    data = [NumericalDatum(3, fams) for fams in iter_product(P3_SPANS, repeat=3) if any(fams)]
+    assert len(data) == 215
+    for datum in data:
+        _assert_full_and_derived_match_brute_force(datum, 2)
+
+
+@pytest.mark.parametrize("line", P3_SPANS[1:5])
+def test_one_family_lines_match_brute_force_at_depth_3(line):
+    _assert_full_and_derived_match_brute_force(NumericalDatum(3, (line, (), ())), 3)
 
 
 def test_derived_and_gamma3_match_brute_force():
@@ -519,7 +550,7 @@ def _assert_sifts_like_reference(chain, elements):
 def test_batched_sift_matches_the_sequential_reference(text, depth):
     datum = NumericalDatum.from_text(text)
     q = quotient(datum, depth)
-    gens = list(q.gens.values())
+    gens = list(generator_portraits(datum, depth).values())
     rng = random.Random(f"{text}|{depth}")
     elements = _random_elements(datum.p, depth, gens, rng)
     for chain in (q.full(), q.derived(), q.kernel(1), q.kernel_derived(1)):
@@ -537,7 +568,7 @@ def test_batched_sift_follows_levels_appended_after_a_sift():
     q = quotient(datum, 4)
     full = q.full()
     rng = random.Random(11)
-    elements = _random_elements(3, 4, list(q.gens.values()), rng)
+    elements = _random_elements(3, 4, list(generator_portraits(datum, 4).values()), rng)
     partial = SubgroupChain(3, 4)
     for d, lv in enumerate(full.levels):
         half = len(lv) // 2
@@ -616,7 +647,7 @@ def _assert_same_closure(got, want):
 def test_batched_closure_finds_the_sequential_pivots():
     for text, depth in (("p = 3; E1 = (1, 0), (0, 1)", 4), ("p = 5; E1 = (1, 2, 0, 0)", 3)):
         q = quotient(NumericalDatum.from_text(text), depth)
-        p, gens = q.datum.p, list(q.gens.values())
+        p, gens = q.datum.p, list(generator_portraits(q.datum, depth).values())
         comms = [commutator(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
         # `derived` is seeded with `Commutators`, so its actors are the generators alone.
         _assert_same_closure(q.full(), reference_generator_close(p, depth, gens, gens))
@@ -627,7 +658,7 @@ def test_batched_closure_finds_the_sequential_pivots():
 
 def _defining_seeds(q, descriptor):
     """The seeds and conjugators that define a quotient's full, derived or gamma3 subgroup, as portraits."""
-    gens = list(q.gens.values())
+    gens = list(generator_portraits(q.datum, q.level).values())
     if descriptor == "full":
         return gens, []
     if descriptor == "derived":
@@ -651,7 +682,7 @@ def test_a_normal_closure_of_an_element_outside_the_group_is_closed():
     rng = random.Random(3)
     for _ in range(4):
         g = Portrait(3, 3, [rng.randrange(3) for _ in range(label_count(3, 3))])
-        want = reference_close(3, 3, [g], conjugators=list(q.gens.values()))
+        want = reference_close(3, 3, [g], conjugators=list(generator_portraits(GS, 3).values()))
         _assert_same_group(q.normal_closure([g]), want)
 
 
@@ -672,6 +703,7 @@ def seed_sets(draw):
 
 
 _Q3 = quotient(GS, 3)
+_Q3_GENS = list(generator_portraits(GS, 3).values())
 _SHORT_IF_FORWARD = [
     [0, 1, 1, 0, 0, 2, 0, 2, 0, 1, 1, 0, 1, 2, 1, 2, 2, 1, 1, 2, 0, 0, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 0, 1, 2, 2, 0, 1, 1, 0],
     [0, 0, 0, 0, 2, 0, 2, 2, 1, 2, 1, 1, 0, 1, 0, 0, 0, 2, 0, 2, 2, 0, 1, 2, 1, 2, 1, 2, 1, 1, 0, 1, 1, 0, 0, 1, 2, 0, 0, 1],
@@ -681,10 +713,10 @@ _SHORT_IF_FORWARD = [
 @given(case=seed_sets())
 # More seeds than pivots above the deepest level, so those pivots act; then
 # fewer, so the seeds act; each with and without conjugators.
-@example(case=(3, 3, list(_Q3.gens.values()) + _Q3.kernel(2).pivots()[:4], []))
-@example(case=(3, 3, list(_Q3.gens.values()), []))
-@example(case=(3, 3, [commutator(*_Q3.gens.values())] * 5, list(_Q3.gens.values())))
-@example(case=(3, 3, [commutator(*_Q3.gens.values())], list(_Q3.gens.values())))
+@example(case=(3, 3, _Q3_GENS + _Q3.kernel(2).pivots()[:4], []))
+@example(case=(3, 3, _Q3_GENS, []))
+@example(case=(3, 3, [commutator(*_Q3_GENS)] * 5, _Q3_GENS))
+@example(case=(3, 3, [commutator(*_Q3_GENS)], _Q3_GENS))
 # Conjugators whose group holds no seed, so the seeds must act as well.
 @example(case=(3, 3, [Portrait.rooted(3, 3, 1), Portrait(3, 3, [0, 0, 0, 1] + [0] * 9)], [Portrait.identity(3, 3)]))
 # A chain whose section at (3,) comes out one pivot short when the pivots'
@@ -764,17 +796,6 @@ def test_cache_files_are_compact_json_dumps(text, level):
     for descriptor in ("full", "derived", "gamma3", "kernel-derived:1") if level else ("full",):
         chain = q.chain(descriptor)
         assert _chain_json(chain) == json.dumps(chain_to_dict(chain), separators=(",", ":")).encode()
-
-
-def test_json_rows_writes_numbers_of_any_width():
-    rng = np.random.default_rng(5)
-    for high in (1, 2, 10, 11, 256, 20000):
-        for width in (0, 1, 7):
-            a = rng.integers(0, high, (4, width), dtype=np.int64)
-            b = rng.integers(0, high, (4, 1), dtype=np.int64)
-            want = ",".join(json.dumps([x, y], separators=(",", ":")) for x, y in zip(a.tolist(), b.tolist()))
-            assert _json_rows("[[", a, "],[", b, "]]").decode() == want
-    assert _json_rows("[", np.empty((0, 3), np.uint8), "]") == b""
 
 
 def test_a_spaced_file_loads_and_is_kept(tmp_path):
@@ -896,7 +917,8 @@ def test_a_reloaded_chain_sifts_like_the_chain_that_wrote_it(tmp_path, text, lev
     reloaded = ChainStore(cache_dir=str(tmp_path)).get_or_build(datum, level, descriptor, boom)
     rng = random.Random(f"{text}|{descriptor}")
     members = _random_elements(datum.p, level, chain.pivots(), rng, count=8)[:8]
-    stack = np.stack([g.perm for g in members + _random_elements(datum.p, level, list(q.gens.values()), rng)])
+    gens = list(generator_portraits(datum, level).values())
+    stack = np.stack([g.perm for g in members + _random_elements(datum.p, level, gens, rng)])
     fail, residuals = chain.sift_batch(stack)
     assert (fail >= 0).any() and (fail < 0).any()
     reloaded_fail, reloaded_residuals = reloaded.sift_batch(stack)
@@ -1108,7 +1130,7 @@ def test_stabilizer_sections_match_brute_force(text, level):
     datum = NumericalDatum.from_text(text)
     p = datum.p
     q = quotient(datum, level)
-    gens = list(q.gens.values())
+    gens = list(generator_portraits(datum, level).values())
     elements = brute_closure(p, level, list(gens))
     comms = [commutator(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
     derived = brute_closure(p, level, comms, conjugators=list(gens))

@@ -7,7 +7,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from megs.chains import quotient
 from megs.checks import SUITE_DATA
-from megs.datum import DatumError, NumericalDatum
+from megs.datum import DatumError, NumericalDatum, generator_portraits
 
 CASES = [
     (text, level)
@@ -18,7 +18,7 @@ CASES = [
 
 def _groups(q):
     """sympy's G and its generators, the rooted one first, as permutations of the leaves."""
-    gens = [Permutation(g.leaf_permutation().tolist()) for g in q.gens.values()]
+    gens = [Permutation(g.leaf_permutation().tolist()) for g in generator_portraits(q.datum, q.level).values()]
     return PermutationGroup(gens), gens
 
 
