@@ -160,8 +160,8 @@ class SubgroupChain:
     `levels[d]` is the `ChainLevel` of level d: the pivots' columns, rows
     and representatives as stacks, in insertion order, with the level's
     sift state. Portraits are made only for the callers that ask for them
-    (`pivots`, `sift`, `contains_chain`). `gens` holds a closure's seeds,
-    if any, as the int16 stack of their labels that cache files store.
+    (`pivots`, `sift`, `contains_chain`). `gens` holds the seeds a closure
+    keeps, if any, as the int16 stack of their labels that cache files store.
     """
 
     __slots__ = ("p", "depth", "levels", "gens")
@@ -406,14 +406,15 @@ BATCH = 64
 
 class Commutators(NamedTuple):
     """Closure seeds commutator(xs[i], ys[j]) for the index pairs (i, j) of
-    (ii, jj), in order, xs and ys stacks of leaf permutations; with
-    `new_only`, less each identity and each repeat of an earlier seed."""
+    (ii, jj), in order, xs and ys stacks of leaf permutations. With `keep`
+    the chain keeps every seed's labels (`gens`); without it, it keeps none
+    and sifts no identity or repeat of an earlier seed."""
 
     xs: np.ndarray
     ys: np.ndarray
     ii: np.ndarray
     jj: np.ndarray
-    new_only: bool = False
+    keep: bool = True
 
 
 def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
@@ -437,8 +438,9 @@ def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
     inserting its rows one at a time would, in row order; each pivot then
     enqueues its recipes as it would have on insertion. Every recipe a
     batch enqueues goes behind every recipe in the queue, so the pivots do
-    not depend on BATCH. The chain keeps the seeds' labels (`gens`), and
-    never more than a batch of `Commutators` seeds as permutations.
+    not depend on BATCH. The chain keeps the seeds' labels (`gens`), none
+    for `Commutators` without `keep`, and never more than a batch of
+    `Commutators` seeds as permutations.
 
     These recipes suffice, by descending induction on d. Suppose every
     actor normalizes the group N of the pivots below level d. Every pivot
@@ -450,16 +452,16 @@ def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
     lies in the chain.
 
     Spin: `_spin` then closes the deepest level under conjugation by the
-    seeds or the pivots above that level, whichever are fewer, and by the
-    conjugators. The group is generated by either set together with the
-    deepest level (with the conjugators' conjugates of the seeds, for a
-    normal closure), and the deepest level, in the abelian St(n-1), acts
-    trivially on itself. This stands in for the recipes of a deepest pivot
-    h: its p-th power and its same-level commutators are trivial, and
-    commutator(h, s) = h^-1 * h^s is in the span of the spun rows. So the
-    levels above get the pivots of a worklist that keeps those recipes, in
-    its order, and the deepest level gets its span; the induction starts
-    from it.
+    kept seeds or the pivots above that level, whichever are fewer (the
+    pivots when no seed is kept), and by the conjugators. The group is
+    generated by either set together with the deepest level (with the
+    conjugators' conjugates of the seeds, for a normal closure), and the
+    deepest level, in the abelian St(n-1), acts trivially on itself. This
+    stands in for the recipes of a deepest pivot h: its p-th power and its
+    same-level commutators are trivial, and commutator(h, s) = h^-1 * h^s
+    is in the span of the spun rows. So the levels above get the pivots of
+    a worklist that keeps those recipes, in its order, and the deepest
+    level gets its span; the induction starts from it.
     """
     conjugators = np.asarray(conjugators, np.int32).reshape(len(conjugators), p**depth)
     if isinstance(seeds, Commutators):
@@ -494,21 +496,23 @@ def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
 
 
 def _seed_batches(p: int, depth: int, seeds):
-    """The seeds up to BATCH at a time, as (leaf permutations, int16 labels):
-    slices of a stack, or `Commutators` built from their pairs just before
-    they are needed, less identities and repeats when `new_only`."""
+    """The seeds up to BATCH at a time, as (leaf permutations, int16 labels
+    to keep): slices of a stack, or `Commutators` built from their pairs
+    just before they are needed. Without `keep`, a batch is less identities
+    and repeats and its labels are empty."""
     if isinstance(seeds, Commutators):
-        xs, ys, ii, jj, new_only = seeds
+        xs, ys, ii, jj, keep = seeds
         stacks = (perm_commutator(xs[ii[s : s + BATCH]], ys[jj[s : s + BATCH]]) for s in range(0, len(ii), BATCH))
     else:
-        new_only = False
+        keep = True
         stacks = (seeds[s : s + BATCH] for s in range(0, len(seeds), BATCH))
-    kept = {bytes(2 * label_count(p, depth))}  # the identity's labels, never kept
+    kept = {bytes(2 * label_count(p, depth))}  # the identity's labels, never sifted
+    none = np.empty((0, label_count(p, depth)), np.int16)  # not labels[:0], a view that keeps its batch alive
     for perms in stacks:
         labels = perm_labels(p, depth, perms).astype(np.int16)
-        if new_only:
+        if not keep:
             new = [i for i, g in enumerate(map(np.ndarray.tobytes, labels)) if not (g in kept or kept.add(g))]
-            perms, labels = perms[new], labels[new]
+            perms, labels = perms[new], none
         yield perms, labels
 
 
@@ -550,9 +554,10 @@ def _image_chain(p: int, depth: int, images: np.ndarray) -> SubgroupChain:
 
 
 def _spin(chain: SubgroupChain, conjugators: np.ndarray) -> None:
-    """Close the deepest level of the chain under conjugation by its seeds or
-    the pivots above that level, whichever are fewer, and by the
-    conjugators, a stack of leaf permutations.
+    """Close the deepest level of the chain under conjugation by its kept
+    seeds or the pivots above that level, whichever are fewer, and by the
+    conjugators, a stack of leaf permutations. A chain that keeps no seeds
+    takes the pivots: its seeds, if any, were sifted and not kept.
 
     For h in St(n-1) with level-(n-1) labels v, the labels of g h g^-1 are
     v[sigma_g], where sigma_g is g's action on the level-(n-1) vertices, and
@@ -571,10 +576,10 @@ def _spin(chain: SubgroupChain, conjugators: np.ndarray) -> None:
     if depth <= 1 or not len(chain.levels[-1]):
         return
     upper = chain.levels[:-1]
-    if len(chain.gens) > sum(map(len, upper)):
-        actors = np.concatenate([lv.perms() for lv in upper])[:, ::p] // p
-    else:
+    if 0 < len(chain.gens) <= sum(map(len, upper)):
         actors = _perm_from_labels(p, depth - 1, chain.gens[:, : level_offsets(p, depth)[-2]])
+    else:
+        actors = np.concatenate([lv.perms() for lv in upper])[:, ::p] // p
     sigmas: dict[bytes, np.ndarray] = {}
     for sigma in (*actors, *conjugators[:, ::p] // p):
         if not np.array_equal(sigma, identity_perm(p, depth - 1)):
@@ -748,35 +753,43 @@ class ChainStore:
         return chain
 
 
-def _write_atomic(path: str, data: bytes) -> None:
-    """Write the bytes to a temporary file beside `path`, then move it into place."""
+def _write_atomic(path: str, pieces) -> None:
+    """Write the pieces of ASCII text one at a time to a temporary file beside
+    `path`, then move it into place."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.writelines(pieces)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _chain_json(chain: SubgroupChain) -> bytes:
-    """A chain's cache file: json.dumps with the separators "," and ":" of
-    {"v": 3, "p", "depth", "gens": the generators' labels, "levels": one list
-    per level of [column, [], representative's labels], "sha256":
-    chain_digest}. The row slot stays empty: a pivot's row is its
-    representative's level-d labels. Files spaced with ", " and ": " load
-    the same way."""
+def _chain_json(chain: SubgroupChain):
+    """A chain's cache file, the text of json.dumps with the separators ","
+    and ":" of {"v": 3, "p", "depth", "gens": the kept seeds' labels,
+    "levels": one list per level of [column, [], representative's labels],
+    "sha256": chain_digest}, yielded in pieces of at most one seed or one
+    pivot each, so writing a file encodes no more than one at a time. The
+    row slot stays empty: a pivot's row is its representative's level-d
+    labels. Files spaced with ", " and ": " load the same way."""
     levels = [(lv.cols, lv.rows, lv.labels()) for lv in chain.levels]
-    data = {
-        "v": CACHE_FORMAT,
-        "p": chain.p,
-        "depth": chain.depth,
-        "gens": chain.gens.tolist(),
-        "levels": [[[col, [], rep] for col, rep in zip(cols.tolist(), reps.tolist())] for cols, _, reps in levels],
-        "sha256": _digest(chain.gens, levels),
-    }
-    return json.dumps(data, separators=(",", ":")).encode()
+    yield f'{{"v":{CACHE_FORMAT},"p":{chain.p},"depth":{chain.depth},"gens":'
+    yield from _json_list(labels.tolist() for labels in chain.gens)
+    yield ',"levels":['
+    for d, (cols, _, reps) in enumerate(levels):
+        yield "," if d else ""
+        yield from _json_list([col, [], rep.tolist()] for col, rep in zip(cols.tolist(), reps))
+    yield f'],"sha256":"{_digest(chain.gens, levels)}"}}'
+
+
+def _json_list(items):
+    """The compact JSON text of a list, one item's json.dumps at a time."""
+    yield "["
+    for i, item in enumerate(items):
+        yield ("," if i else "") + json.dumps(item, separators=(",", ":"))
+    yield "]"
 
 
 def chain_digest(chain: SubgroupChain) -> str:
@@ -905,8 +918,8 @@ class FiniteQuotient:
         """Close the chain a descriptor names. `full`, `derived` and `gamma3`
         keep every seed their definition names; `second-derived`,
         `kernel-derived:k` and `kernel-gamma3:k`, seeded with commutators of
-        another chain's pivots, keep those that can add something
-        (`_pivot_commutators`)."""
+        another chain's pivots, sift those that can add something and keep
+        none (`_pivot_commutators`)."""
         p, n, gens = self.datum.p, self.level, self.gen_perms
         if descriptor == "full":
             return close_chain(p, n, gens)
@@ -922,9 +935,8 @@ class FiniteQuotient:
             return pivot_derived_chain(h)
         if descriptor.startswith("kernel-gamma3:"):
             k = int(descriptor.split(":", 1)[1])
-            h = self.chain(f"kernel:{k}")
-            seeds = _pivot_commutators(self.chain(f"kernel-derived:{k}"), h)
-            return close_chain(p, n, seeds, conjugators=h.perms())
+            seeds = _pivot_commutators(self.chain(f"kernel-derived:{k}"), self.chain(f"kernel:{k}"))
+            return close_chain(p, n, seeds, conjugators=seeds.ys)
         raise ChainError(f"unknown chain descriptor {descriptor!r}")
 
     def full(self) -> SubgroupChain:
@@ -956,21 +968,25 @@ class FiniteQuotient:
 def pivot_derived_chain(h: SubgroupChain) -> SubgroupChain:
     """Chain of the derived subgroup of the group a chain holds: seeded with
     the commutators of its pivots that can add something
-    (`_pivot_commutators`), closed under conjugation by its pivots."""
-    return close_chain(h.p, h.depth, _pivot_commutators(h, h), conjugators=h.perms())
+    (`_pivot_commutators`), closed under conjugation by its pivots, the
+    seeds' own stack."""
+    seeds = _pivot_commutators(h, h)
+    return close_chain(h.p, h.depth, seeds, conjugators=seeds.xs)
 
 
 def _pivot_commutators(xs: SubgroupChain, ys: SubgroupChain) -> Commutators:
     """commutator(x, y) for the pivots x of `xs` and y of `ys` (x before y when
-    they are one chain), in that order, less the seeds that add nothing: no
-    pair of two deepest pivots is formed, as in `close_chain`, since St(n-1)
-    is abelian, and the closure keeps no identity or repeat of an earlier
-    seed (`Commutators.new_only`). The closure is the same group; without a
-    repeat, it may meet its pivots in another order."""
-    (xp, x_top), (yp, y_top) = ((c.perms(), sum(c.dims()[:-1])) for c in (xs, ys))
+    they are one chain), in that order, as seeds the closure does not keep
+    (`Commutators.keep`): it sifts no identity or repeat of an earlier seed,
+    and no pair of two deepest pivots is formed, as in `close_chain`, since
+    St(n-1) is abelian. The closure is the same group. One chain's pivots
+    are built as one stack, which is both `xs` and `ys` of the seeds."""
+    xp = xs.perms()
+    yp = xp if xs is ys else ys.perms()
+    x_top, y_top = (sum(c.dims()[:-1]) for c in (xs, ys))
     ii, jj = np.indices((len(xp), len(yp))).reshape(2, -1)
-    keep = ((ii < x_top) | (jj < y_top)) & ((jj > ii) if xs is ys else True)
-    return Commutators(xp, yp, ii[keep], jj[keep], new_only=True)
+    formed = ((ii < x_top) | (jj < y_top)) & ((jj > ii) if xs is ys else True)
+    return Commutators(xp, yp, ii[formed], jj[formed], keep=False)
 
 
 quotient = FiniteQuotient

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from itertools import product as iter_product
 
@@ -390,15 +391,60 @@ def test_chains_seeded_with_pivot_commutators_keep_their_pivots(text, level, des
     assert upper_and_deepest_span(level_kernel_chain(chain, 0)) == (upper, span)
 
 
-def test_chains_seeded_with_pivot_commutators_keep_only_new_seeds():
-    q = quotient(S22, 5)
-    counts = {descriptor: len(q.chain(descriptor).gens) for descriptor in PIVOT_SEEDED}
-    # Every commutator of two pivots gave 1,891, 1,953 and 3,780 seeds.
-    assert counts == {"second-derived": 543, "kernel-derived:1": 697, "kernel-gamma3:1": 1183}
+@pytest.mark.parametrize(
+    "text, level, digests",
+    [
+        (
+            "p = 3; E1 = (1, 0), (0, 1)",
+            5,
+            ["6f567432ed9d81ba", "ef9cbe1697d68913", "c333ba23ddc709e0", "29b70706a50476aa", "f32d8c8501004b67"],
+        ),
+        (
+            "p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)",
+            4,
+            ["325eb5ed0288f0c9", "30648b392dc41112", "859963af7c1aef5e", "dc3d09e07df4edfc", "27d0c77f738d3814"],
+        ),
+    ],
+)
+def test_chains_seeded_with_pivot_commutators_keep_every_pivot(text, level, digests):
+    # The digest of the levels alone (a level-0 kernel view has no seeds):
+    # every pivot, the deepest basis included, where dropping repeated seeds
+    # once moved deepest bases. Values from when these chains kept their seeds.
+    q = quotient(NumericalDatum.from_text(text), level)
+    descriptors = ["second-derived", "kernel-derived:1", "kernel-derived:2", "kernel-gamma3:1", "kernel-gamma3:2"]
+    assert [chain_digest(level_kernel_chain(q.chain(d), 0))[:16] for d in descriptors] == digests
+
+
+def test_chains_seeded_with_pivot_commutators_keep_no_seeds(tmp_path, monkeypatch):
+    rows = []
+    seed_batches = chains._seed_batches
+
+    def counted_seed_batches(p, depth, seeds):
+        for perms, labels in seed_batches(p, depth, seeds):
+            rows.append(len(perms))
+            yield perms, labels
+
+    monkeypatch.setattr(chains, "_seed_batches", counted_seed_batches)
+    store = ChainStore(cache_dir=str(tmp_path))
+    q = quotient(S22, 5, store=store)
+    q.full(), q.derived()  # the chains these seeds come from, built first
+
+    def boom():
+        raise AssertionError("builder should not run on a warm cache")
+
+    sifted = {}
     for descriptor in PIVOT_SEEDED:
-        keys = [g.tobytes() for g in q.chain(descriptor).gens]
-        assert len(set(keys)) == len(keys)
-        assert Portrait.identity(3, 5).labels.tobytes() not in keys
+        rows.clear()
+        chain = q.chain(descriptor)
+        sifted[descriptor] = sum(rows)
+        assert chain.gens.shape == (0, label_count(3, 5))
+        with open(store._path(S22, 5, descriptor)) as fh:
+            assert json.load(fh)["gens"] == []
+        reloaded = ChainStore(cache_dir=str(tmp_path)).get_or_build(S22, 5, descriptor, boom)
+        assert chain_digest(reloaded) == chain_digest(chain)
+    # The seeds sifted, with no identity or repeat; every commutator of two
+    # pivots gave 1,891, 1,953 and 3,780.
+    assert sifted == {"second-derived": 543, "kernel-derived:1": 697, "kernel-gamma3:1": 1183}
 
 
 def test_a_chain_whose_seeds_all_drop_is_trivial_and_round_trips(tmp_path):
@@ -420,9 +466,9 @@ def test_a_chain_whose_seeds_all_drop_is_trivial_and_round_trips(tmp_path):
 
 def stacked_seeds(seeds):
     """The seeds a `Commutators` stands for, built and stacked all at once,
-    less identities and repeats (compared as permutations) when it says so."""
+    less identities and repeats (compared as permutations) unless it keeps them."""
     perms = chains.perm_commutator(seeds.xs[seeds.ii], seeds.ys[seeds.jj])
-    if not seeds.new_only:
+    if seeds.keep:
         return perms
     kept = {np.arange(perms.shape[1], dtype=np.int32).tobytes(): None}  # first, so the identity is never kept
     for g in perms:
@@ -449,12 +495,17 @@ def test_commutator_seeds_are_built_once_a_batch_at_a_time(text, level, descript
     # chain that building every seed in one stack gives.
     q = quotient(NumericalDatum.from_text(text), level)
     q.chain(before)
-    rows, captured = [], {}
-    comm, close = chains.perm_commutator, chains.close_chain
+    rows, sifted, captured = [], [], {}
+    comm, close, seed_batches = chains.perm_commutator, chains.close_chain, chains._seed_batches
 
     def counted_comm(x, y):
         rows.append(len(x))
         return comm(x, y)
+
+    def captured_seed_batches(p, depth, seeds):
+        for perms, labels in seed_batches(p, depth, seeds):
+            sifted.append(perms)
+            yield perms, labels
 
     def capturing_close(p, depth, seeds, conjugators=()):
         captured.update(seeds=seeds, conjugators=conjugators)
@@ -462,12 +513,19 @@ def test_commutator_seeds_are_built_once_a_batch_at_a_time(text, level, descript
 
     monkeypatch.setattr(chains, "perm_commutator", counted_comm)
     monkeypatch.setattr(chains, "close_chain", capturing_close)
+    monkeypatch.setattr(chains, "_seed_batches", captured_seed_batches)
     chain = q.chain(descriptor)
     streamed = sum(rows)
     seeds = captured["seeds"]
     assert isinstance(seeds, chains.Commutators) and len(seeds.ii) == pairs
     assert max(rows) <= chains.BATCH
-    assert np.array_equal(chain.gens, perm_labels(q.datum.p, level, stacked_seeds(seeds)))
+    assert np.array_equal(np.concatenate(sifted), stacked_seeds(seeds))
+    # `gamma3` keeps its seeds; the chains seeded with pivot commutators keep none.
+    assert seeds.keep == (descriptor == "gamma3")
+    if seeds.keep:
+        assert np.array_equal(chain.gens, perm_labels(q.datum.p, level, stacked_seeds(seeds)))
+    else:
+        assert chain.gens.shape == (0, label_count(q.datum.p, level))
     rows.clear()
     monkeypatch.setattr(chains, "BATCH", pairs)
     reference = close(q.datum.p, level, seeds, captured["conjugators"])
@@ -785,6 +843,22 @@ def test_cache_writes_are_the_bytes_of_json_dumps(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["chain.json"]
 
 
+def test_writing_a_chain_file_holds_little_more_than_the_file(tmp_path):
+    # The largest file of a cold suite: gamma3 of p5-exceptional at n = 4, with
+    # 414 seeds of 156 labels. One json.dumps over the whole file held about 24
+    # times its size while writing it.
+    chain = quotient(NumericalDatum.from_text("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)"), 4).gamma3()
+    path = tmp_path / "chain.json"
+    tracemalloc.start()
+    try:
+        _write_atomic(str(path), _chain_json(chain))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == 173_916
+    assert peak <= 2 * 173_916
+
+
 @pytest.mark.parametrize(
     "text, level",
     # p = 11 has two-digit labels; every level's pivot columns have more digits.
@@ -795,7 +869,7 @@ def test_cache_files_are_compact_json_dumps(text, level):
     q = quotient(NumericalDatum.from_text(text), level)
     for descriptor in ("full", "derived", "gamma3", "kernel-derived:1") if level else ("full",):
         chain = q.chain(descriptor)
-        assert _chain_json(chain) == json.dumps(chain_to_dict(chain), separators=(",", ":")).encode()
+        assert "".join(_chain_json(chain)) == json.dumps(chain_to_dict(chain), separators=(",", ":"))
 
 
 def test_a_spaced_file_loads_and_is_kept(tmp_path):
@@ -833,7 +907,7 @@ def test_a_format_2_file_is_rebuilt_once_into_format_3(tmp_path, text, level):
 
     assert chain_digest(store.get_or_build(datum, level, "full", builder)) == chain_digest(chain)
     assert builds == [1]
-    assert path.read_bytes() == _chain_json(chain) and len(path.read_text()) < len(old)
+    assert path.read_text() == "".join(_chain_json(chain)) and len(path.read_text()) < len(old)
     assert json.loads(path.read_text())["sha256"] == json.loads(old)["sha256"]
     reloaded = ChainStore(cache_dir=str(tmp_path)).get_or_build(datum, level, "full", builder)
     assert chain_digest(reloaded) == chain_digest(chain) and builds == [1]

@@ -227,16 +227,16 @@ def test_cold_suite_matches_the_golden_output(tmp_path, capsys):
     assert main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / "suite-seed-20260817.out").read_text()
     assert report.read_bytes() == (GOLDEN / "suite-seed-20260817.json").read_bytes()
-    # The cache it leaves, with no identity or repeated seed in the chains
-    # seeded with commutators of pivots.
+    # The cache it leaves, with no seed kept in the chains seeded with
+    # commutators of pivots.
     files = list((tmp_path / "cache").iterdir())
     assert len(files) == 124
-    assert sum(path.stat().st_size for path in files) == 391_941
+    assert sum(path.stat().st_size for path in files) == 362_725
     digest = hashlib.sha256()
     for path in sorted(files):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
-    assert digest.hexdigest() == "4ec6af66c94cfe4eeb4131872c07335add7e9d04a368be214704d7e5a9f471df"
+    assert digest.hexdigest() == "202a05aab2663ab69e7ffc5650d0bf73cba098d0fd4ad9cfed6d19bec1325967"
     # A warm pass on the cache it left gives the same output.
     assert main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / "suite-seed-20260817.out").read_text()
