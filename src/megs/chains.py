@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
@@ -407,14 +408,13 @@ BATCH = 64
 class Commutators(NamedTuple):
     """Closure seeds commutator(xs[i], ys[j]) for the index pairs (i, j) of
     (ii, jj), in order, xs and ys stacks of leaf permutations. With `keep`
-    the chain keeps every seed's labels (`gens`); without it, it keeps none
-    and sifts no identity or repeat of an earlier seed."""
+    the chain keeps every seed's labels (`gens`); without it, none."""
 
     xs: np.ndarray
     ys: np.ndarray
     ii: np.ndarray
     jj: np.ndarray
-    keep: bool = True
+    keep: bool
 
 
 def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
@@ -424,8 +424,7 @@ def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
 
     The actors are the conjugators and, when the seeds are a stack, the
     seeds, less repeats. Precondition: every seed lies in the actors'
-    group; `Commutators` seeds must be commutators of elements of the
-    conjugators' group, as the quotients' descriptors build them.
+    group, as `commutator_chain`'s seeds lie in the conjugators'.
 
     Lift: the seeds, up to BATCH at a time (`_seed_batches`), then a
     worklist of recipes, not elements: ("pow", x) and ("comm", x, y); a
@@ -495,25 +494,39 @@ def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
     return chain
 
 
+def commutator_chain(p: int, depth: int, xs: np.ndarray, ys: np.ndarray, conjugators, keep: bool = False) -> SubgroupChain:
+    """Chain of [N, M] for N = ncl_G(S) and M = <Y> normal in G, where G is
+    the conjugators' group and S, Y are the stacks `xs`, `ys`: the closure
+    under G of the seeds commutator(s, y) (`Commutators`), in that order,
+    only s before y when S is Y ([y, y] = 1, [y, s] = [s, y]^-1), keeping
+    their labels with `keep`. Every seed lies in G, as `close_chain` needs.
+
+    Lemma: [N, M] = ncl_G([s, y] : s in S, y in Y) =: C. C <= [N, M], which
+    is normal. Each [n, m] lies in C, with [x, y] = x^-1 y^-1 x y: [x, my] =
+    [x, y][x, m]^y and [x, y^-1] = ([x, y]^-1)^(y^-1) give [s, m] for m in M;
+    [s^g, m] = [s, m^(g^-1)]^g with m^(g^-1) in M gives [s^g, m]; and
+    [xy, m] = [x, m]^y [y, m] and [x^-1, m] = ([x, m]^-1)^(x^-1) give [n, m],
+    n a product of such s^g and their inverses."""
+    ii, jj = np.indices((len(xs), len(ys))).reshape(2, -1)
+    if xs is ys:
+        ii, jj = ii[ii < jj], jj[ii < jj]
+    return close_chain(p, depth, Commutators(xs, ys, ii, jj, keep), conjugators=conjugators)
+
+
 def _seed_batches(p: int, depth: int, seeds):
     """The seeds up to BATCH at a time, as (leaf permutations, int16 labels
     to keep): slices of a stack, or `Commutators` built from their pairs
-    just before they are needed. Without `keep`, a batch is less identities
-    and repeats and its labels are empty."""
+    just before they are needed, with no labels without `keep`. Identities
+    and repeats are sifted too: they sift into the chain and insert nothing."""
     if isinstance(seeds, Commutators):
         xs, ys, ii, jj, keep = seeds
         stacks = (perm_commutator(xs[ii[s : s + BATCH]], ys[jj[s : s + BATCH]]) for s in range(0, len(ii), BATCH))
     else:
         keep = True
         stacks = (seeds[s : s + BATCH] for s in range(0, len(seeds), BATCH))
-    kept = {bytes(2 * label_count(p, depth))}  # the identity's labels, never sifted
-    none = np.empty((0, label_count(p, depth)), np.int16)  # not labels[:0], a view that keeps its batch alive
+    none = np.empty((0, label_count(p, depth)), np.int16)
     for perms in stacks:
-        labels = perm_labels(p, depth, perms).astype(np.int16)
-        if not keep:
-            new = [i for i, g in enumerate(map(np.ndarray.tobytes, labels)) if not (g in kept or kept.add(g))]
-            perms, labels = perms[new], none
-        yield perms, labels
+        yield perms, perm_labels(p, depth, perms).astype(np.int16) if keep else none
 
 
 def _build(recipes: list[tuple], p: int, stacks=()) -> np.ndarray:
@@ -902,42 +915,60 @@ class FiniteQuotient:
         self.level = level
         self.store = store if store is not None else ChainStore()
         self.gen_perms = np.stack([g.perm for g in generator_portraits(datum, level).values()])
+        self._normal_gens = {1: self.gen_perms[1:]}  # S_k by k (`_normal_generators`)
 
     # -- chain accessors -----------------------------------------------------
 
     def chain(self, descriptor: str) -> SubgroupChain:
-        """The chain a descriptor names, from the store; a level kernel
-        `kernel:k` is a view of the full chain and is neither stored nor built."""
-        if descriptor.startswith("kernel:"):
-            return level_kernel_chain(self.chain("full"), int(descriptor.split(":", 1)[1]))
-        return self.store.get_or_build(
-            self.datum, self.level, descriptor, lambda: self._build(descriptor)
-        )
+        """The chain a descriptor names, from the store. The k of `kernel:k`,
+        `kernel-derived:k` and `kernel-gamma3:k` is decimal digits with no
+        leading zero, so a chain has one name and one file. A level kernel
+        `kernel:k` is a view of the full chain, neither stored nor built."""
+        name, colon, k = descriptor.partition(":")
+        kernel = name in ("kernel", "kernel-derived", "kernel-gamma3") and re.fullmatch("0|[1-9][0-9]*", k)
+        if not (kernel or not colon and name in ("full", "derived", "gamma3", "second-derived")):
+            raise ChainError(f"unknown chain descriptor {descriptor!r}")
+        if name == "kernel":
+            return level_kernel_chain(self.chain("full"), int(k))
+        return self.store.get_or_build(self.datum, self.level, descriptor, lambda: self._build(name, k))
 
-    def _build(self, descriptor: str) -> SubgroupChain:
-        """Close the chain a descriptor names. `full`, `derived` and `gamma3`
-        keep every seed their definition names; `second-derived`,
-        `kernel-derived:k` and `kernel-gamma3:k`, seeded with commutators of
-        another chain's pivots, sift those that can add something and keep
-        none (`_pivot_commutators`)."""
+    def _build(self, name: str, k: str) -> SubgroupChain:
+        """Close the chain a descriptor names, k its kernel level if any:
+        `full` from the generators g_i, and every other chain as [N, M] from
+        a normal generating set S of N and generators Y of M, closed under G
+        (`commutator_chain`). `derived` [G, G] takes S = Y = the g_i, and
+        `gamma3` [G', G] the derived pivots and the g_i; these two keep their
+        seeds, by which the benchmark's checker finds their files.
+        `second-derived` [G', G'] takes the [g_i, g_j], i < j, and the derived
+        pivots; `kernel-derived:k` [K, K], K = St(k), takes S_k
+        (`_normal_generators`) and the pivots of `kernel:k`; and
+        `kernel-gamma3:k` [K', K] = [K, K'] S_k and those of `kernel-derived:k`."""
         p, n, gens = self.datum.p, self.level, self.gen_perms
-        if descriptor == "full":
+        if name == "full":
             return close_chain(p, n, gens)
-        if descriptor == "derived":
-            return close_chain(p, n, Commutators(gens, gens, *np.triu_indices(len(gens), 1)), conjugators=gens)
-        if descriptor == "gamma3":
-            d = self.chain("derived").perms()
-            pairs = np.indices((len(d), len(gens))).reshape(2, -1)
-            return close_chain(p, n, Commutators(d, gens, *pairs), conjugators=gens)
-        if descriptor == "second-derived" or descriptor.startswith("kernel-derived:"):
-            k = descriptor.partition(":")[2]
-            h = self.chain("derived" if descriptor == "second-derived" else f"kernel:{int(k)}")
-            return pivot_derived_chain(h)
-        if descriptor.startswith("kernel-gamma3:"):
-            k = int(descriptor.split(":", 1)[1])
-            seeds = _pivot_commutators(self.chain(f"kernel-derived:{k}"), self.chain(f"kernel:{k}"))
-            return close_chain(p, n, seeds, conjugators=seeds.ys)
-        raise ChainError(f"unknown chain descriptor {descriptor!r}")
+        if name in ("derived", "gamma3"):
+            return commutator_chain(p, n, self.derived().perms() if name == "gamma3" else gens, gens, gens, keep=True)
+        if name == "second-derived":
+            ii, jj = np.triu_indices(len(gens), 1)
+            return commutator_chain(p, n, perm_commutator(gens[ii], gens[jj]), self.derived().perms(), gens)
+        ys = self.chain(f"kernel:{k}" if name == "kernel-derived" else f"kernel-derived:{k}").perms()
+        return commutator_chain(p, n, self._normal_generators(int(k)), ys, gens)
+
+    def _normal_generators(self, k: int) -> np.ndarray:
+        """S_k, a stack that generates St(k) as a normal subgroup, found once
+        a quotient. S_1 is the directed generators: their normal closure N is
+        in St(1) and G = <a>N, so a^i m in St(1), m in N, has p | i and a^i =
+        1. Any other S_k takes each pivot of `kernel:k` that the normal
+        closure of those taken misses, until that closure is all of St(k)."""
+        if k not in self._normal_gens:
+            p, n, kernel = self.datum.p, self.level, self.kernel(k)
+            taken, closure = [], SubgroupChain(p, n)
+            for x in kernel.perms():
+                if closure.order_exponent() < kernel.order_exponent() and closure.sift_batch(x)[0][0] >= 0:
+                    taken.append(x)
+                    closure = close_chain(p, n, taken, conjugators=self.gen_perms)
+            self._normal_gens[k] = np.array(taken, np.int32).reshape(-1, p**n)
+        return self._normal_gens[k]
 
     def full(self) -> SubgroupChain:
         return self.chain("full")
@@ -963,30 +994,6 @@ class FiniteQuotient:
     def normal_closure(self, elements) -> SubgroupChain:
         """Chain of the normal closure of the given portraits."""
         return close_chain(self.datum.p, self.level, [g.perm for g in elements], conjugators=self.gen_perms)
-
-
-def pivot_derived_chain(h: SubgroupChain) -> SubgroupChain:
-    """Chain of the derived subgroup of the group a chain holds: seeded with
-    the commutators of its pivots that can add something
-    (`_pivot_commutators`), closed under conjugation by its pivots, the
-    seeds' own stack."""
-    seeds = _pivot_commutators(h, h)
-    return close_chain(h.p, h.depth, seeds, conjugators=seeds.xs)
-
-
-def _pivot_commutators(xs: SubgroupChain, ys: SubgroupChain) -> Commutators:
-    """commutator(x, y) for the pivots x of `xs` and y of `ys` (x before y when
-    they are one chain), in that order, as seeds the closure does not keep
-    (`Commutators.keep`): it sifts no identity or repeat of an earlier seed,
-    and no pair of two deepest pivots is formed, as in `close_chain`, since
-    St(n-1) is abelian. The closure is the same group. One chain's pivots
-    are built as one stack, which is both `xs` and `ys` of the seeds."""
-    xp = xs.perms()
-    yp = xp if xs is ys else ys.perms()
-    x_top, y_top = (sum(c.dims()[:-1]) for c in (xs, ys))
-    ii, jj = np.indices((len(xp), len(yp))).reshape(2, -1)
-    formed = ((ii < x_top) | (jj < y_top)) & ((jj > ii) if xs is ys else True)
-    return Commutators(xp, yp, ii[formed], jj[formed], keep=False)
 
 
 quotient = FiniteQuotient

@@ -41,7 +41,7 @@ from .chains import (
     FiniteQuotient,
     SubgroupChain,
     block_product_chain,
-    pivot_derived_chain,
+    commutator_chain,
     planted,
     section_exponents,
 )
@@ -589,16 +589,11 @@ def check_weak_csp(
 # -- constant-vector data ----------------------------------------------------------
 
 
-def _index_p_subgroup(
-    datum: NumericalDatum, q: FiniteQuotient, families: tuple[int, ...]
-) -> SubgroupChain:
-    words = []
-    for j in families:
-        for i in range(1, len(datum.family(j)) + 1):
-            words.append(
-                GroupWord.generator(datum, j, i) * ~GroupWord.rooted(datum.p, 1)
-            )
-    return q.normal_closure([evaluate(w, datum, q.level) for w in words])
+def _index_p_elements(datum: NumericalDatum, q: FiniteQuotient, families: tuple[int, ...]) -> list[Portrait]:
+    """The classes of b a^-1 for the generators b of the given families,
+    which generate the index-p subgroup as a normal subgroup."""
+    directed = [GroupWord.generator(datum, j, i) for j in families for i in range(1, len(datum.family(j)) + 1)]
+    return [evaluate(b * ~GroupWord.rooted(datum.p, 1), datum, q.level) for b in directed]
 
 
 def _star_products(p: int, level: int, pivots: np.ndarray, rng: random.Random, samples: int) -> np.ndarray:
@@ -643,33 +638,35 @@ def check_constant_vector(
     p = datum.p
     fams = datum.nonempty_families
 
-    @cache  # each level's index-p subgroup of some families, or its derived subgroup, closed once a call
-    def index_p(lvl: int, families: tuple[int, ...], derived: bool = False) -> SubgroupChain:
-        if derived:
-            return pivot_derived_chain(index_p(lvl, families))
-        return _index_p_subgroup(datum, quotient_at(lvl), families)
+    @cache  # each level's index-p subgroup N of some families, and [N, N], closed once a call
+    def index_p(lvl: int, families: tuple[int, ...]) -> tuple[SubgroupChain, SubgroupChain]:
+        q = quotient_at(lvl)
+        elements = _index_p_elements(datum, q, families)
+        sub = q.normal_closure(elements)
+        return sub, commutator_chain(p, lvl, np.stack([g.perm for g in elements]), sub.perms(), q.gen_perms)
 
     q = quotient_at(level)
-    index_exp = q.order_exponent() - index_p(level, fams).order_exponent()
-    contains_derived = index_p(level, fams).contains_chain(q.derived())[0]
+    sub, sub_derived = index_p(level, fams)
+    index_exp = q.order_exponent() - sub.order_exponent()
+    contains_derived = sub.contains_chain(q.derived())[0]
 
-    embedded = planted(p, level, index_p(level - 1, fams, derived=True).perms(), [0])
-    block_fails = int((index_p(level, fams, derived=True).sift_batch(embedded)[0] >= 0).sum())
+    embedded = planted(p, level, index_p(level - 1, fams)[1].perms(), [0])
+    block_fails = int((sub_derived.sift_batch(embedded)[0] >= 0).sum())
 
     rng = random.Random(seed)
-    star_fails = 0
-    star_runs = 0
+    star_fails = star_runs = 0
     for j in fams:
-        stars = _star_products(p, level, index_p(level, (j,)).perms(), rng, samples)
+        single, single_derived = index_p(level, (j,))
+        stars = _star_products(p, level, single.perms(), rng, samples)
         star_runs += len(stars)
-        star_fails += int((index_p(level, (j,), derived=True).sift_batch(stars)[0] >= 0).sum())
+        star_fails += int((single_derived.sift_batch(stars)[0] >= 0).sum())
 
-    k2_derived_elems = index_p(2, fams, derived=True).elements()
+    k2_derived_elems = index_p(2, fams)[1].elements()
     intersection_ok = []
     for j in fams:
-        meet = k2_derived_elems[index_p(2, (j,)).sift_batch(k2_derived_elems)[0] < 0]
-        want = index_p(2, (j,), derived=True).elements()
-        intersection_ok.append({g.tobytes() for g in meet} == {g.tobytes() for g in want})
+        single, single_derived = index_p(2, (j,))
+        meet = k2_derived_elems[single.sift_batch(k2_derived_elems)[0] < 0]
+        intersection_ok.append({g.tobytes() for g in meet} == {g.tobytes() for g in single_derived.elements()})
 
     certs = {
         "index-exponent": index_exp,
@@ -679,13 +676,7 @@ def check_constant_vector(
         "star-failures": star_fails,
         "level2-intersections-equal": intersection_ok,
     }
-    ok = (
-        index_exp == 1
-        and contains_derived
-        and block_fails == 0
-        and star_fails == 0
-        and all(intersection_ok)
-    )
+    ok = index_exp == 1 and contains_derived and block_fails == star_fails == 0 and all(intersection_ok)
     return _outcome(VERIFIED if ok else REFUTED, certs)
 
 

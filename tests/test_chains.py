@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from megs import chains
+from megs import chains, checks
 from megs.chains import (
     ChainError,
     ChainLevel,
@@ -32,11 +32,12 @@ from megs.chains import (
     section_chain,
     section_exponents,
 )
-from megs.checks import SUITE_DATA
+from megs.checks import CHECKS, SUITE_DATA, run_check
 from megs.cli import main
-from megs.datum import NumericalDatum, generator_portraits
+from megs.datum import NumericalDatum, classify, generator_portraits
 from megs.fp import rank_mod, row_echelon
 from megs.portraits import Portrait, commutator, label_count, level_offsets, perm_labels
+from test_sympy_oracle import _random_p3_data
 
 GS = NumericalDatum.from_text("p = 3; E1 = (1, 2)")
 S22 = NumericalDatum.from_text("p = 3; E1 = (2, 2)")
@@ -357,17 +358,17 @@ PIVOT_SEEDED = ["second-derived", "kernel-derived:1", "kernel-gamma3:1"]
             (
                 ("p = 3; E1 = (2, 2)", 4),
                 [
-                    ("aeec97b760023f31", "e0676e44ee494156"),
-                    ("2fcbc5e6bc3318ef", "19d1f1da76e3e011"),
-                    ("8fa67a0183edf972", "19d1f1da76e3e011"),
+                    ("3fbe78960ae0e0f2", "e0676e44ee494156"),
+                    ("28ee5d3d326718af", "19d1f1da76e3e011"),
+                    ("35c12096e4f1da4e", "19d1f1da76e3e011"),
                 ],
             ),
             (
                 ("p = 3; E1 = (1, 0), (0, 1)", 5),
                 [
-                    ("fded0d55d797e853", "8e1d30920947e351"),
-                    ("dccf668a77bd1e08", "8e1d30920947e351"),
-                    ("1e6095e806cdcda1", "8e1d30920947e351"),
+                    ("168269e7c1fbaaa4", "8e1d30920947e351"),
+                    ("375099e24f524653", "8e1d30920947e351"),
+                    ("2ac98855a448a898", "8e1d30920947e351"),
                 ],
             ),
             (
@@ -384,9 +385,10 @@ PIVOT_SEEDED = ["second-derived", "kernel-derived:1", "kernel-gamma3:1"]
 )
 def test_chains_seeded_with_pivot_commutators_keep_their_pivots(text, level, descriptor, upper, span):
     # The spans are from when these chains were seeded with every commutator
-    # of two pivots. The seeds are left out (a level-0 kernel view has none),
-    # since dropping identities and repeats changed them; the pivots above
-    # the deepest level and the span of the deepest rows must not change.
+    # of two pivots, and the seeds are left out (a level-0 kernel view has
+    # none). The pivots above the deepest level are those of the [N, M]
+    # seeding (`commutator_chain`), which moved them; it is the same group, so
+    # the span of the deepest rows must not move.
     chain = quotient(NumericalDatum.from_text(text), level).chain(descriptor)
     assert upper_and_deepest_span(level_kernel_chain(chain, 0)) == (upper, span)
 
@@ -397,19 +399,19 @@ def test_chains_seeded_with_pivot_commutators_keep_their_pivots(text, level, des
         (
             "p = 3; E1 = (1, 0), (0, 1)",
             5,
-            ["6f567432ed9d81ba", "ef9cbe1697d68913", "c333ba23ddc709e0", "29b70706a50476aa", "f32d8c8501004b67"],
+            ["758e4223a943e3a6", "afc2786453ae003b", "1e5b24838dd853ca", "11c7755c799f0911", "6fb260b0cb6606f5"],
         ),
         (
             "p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)",
             4,
-            ["325eb5ed0288f0c9", "30648b392dc41112", "859963af7c1aef5e", "dc3d09e07df4edfc", "27d0c77f738d3814"],
+            ["af4a7d44d8d9e3c1", "76e420e30e9353d7", "f05e028d26702c26", "58b6e15ef01b36a1", "906790804df44e3a"],
         ),
     ],
 )
 def test_chains_seeded_with_pivot_commutators_keep_every_pivot(text, level, digests):
     # The digest of the levels alone (a level-0 kernel view has no seeds):
     # every pivot, the deepest basis included, where dropping repeated seeds
-    # once moved deepest bases. Values from when these chains kept their seeds.
+    # once moved deepest bases. Values of the [N, M] seeding (`commutator_chain`).
     q = quotient(NumericalDatum.from_text(text), level)
     descriptors = ["second-derived", "kernel-derived:1", "kernel-derived:2", "kernel-gamma3:1", "kernel-gamma3:2"]
     assert [chain_digest(level_kernel_chain(q.chain(d), 0))[:16] for d in descriptors] == digests
@@ -442,14 +444,15 @@ def test_chains_seeded_with_pivot_commutators_keep_no_seeds(tmp_path, monkeypatc
             assert json.load(fh)["gens"] == []
         reloaded = ChainStore(cache_dir=str(tmp_path)).get_or_build(S22, 5, descriptor, boom)
         assert chain_digest(reloaded) == chain_digest(chain)
-    # The seeds sifted, with no identity or repeat; every commutator of two
-    # pivots gave 1,891, 1,953 and 3,780.
-    assert sifted == {"second-derived": 543, "kernel-derived:1": 697, "kernel-gamma3:1": 1183}
+    # The seeds sifted, |S| * |Y| of them (one S element each, 62, 63 and 60
+    # pivots of Y). Seeded with the commutators of two pivots they were 543,
+    # 697 and 1,183 with no identity or repeat, and 1,891, 1,953 and 3,780 with.
+    assert sifted == {"second-derived": 62, "kernel-derived:1": 63, "kernel-gamma3:1": 60}
 
 
 def test_a_chain_whose_seeds_all_drop_is_trivial_and_round_trips(tmp_path):
-    # Level 2 of a depth-3 quotient is the deepest, so every commutator of
-    # two pivots of `kernel:2` is trivial and none is kept.
+    # Level 2 of a depth-3 quotient is the deepest, so `kernel:2` is abelian:
+    # every seed [s, y] is trivial, sifts into the empty chain, and none is kept.
     store = ChainStore(cache_dir=str(tmp_path))
     chain = quotient(S22, 3, store=store).kernel_derived(2)
     assert len(chain.gens) == 0 and chain.dims() == (0, 0, 0)
@@ -465,28 +468,21 @@ def test_a_chain_whose_seeds_all_drop_is_trivial_and_round_trips(tmp_path):
 
 
 def stacked_seeds(seeds):
-    """The seeds a `Commutators` stands for, built and stacked all at once,
-    less identities and repeats (compared as permutations) unless it keeps them."""
-    perms = chains.perm_commutator(seeds.xs[seeds.ii], seeds.ys[seeds.jj])
-    if seeds.keep:
-        return perms
-    kept = {np.arange(perms.shape[1], dtype=np.int32).tobytes(): None}  # first, so the identity is never kept
-    for g in perms:
-        kept.setdefault(g.tobytes(), g)
-    return np.array(list(kept.values())[1:], dtype=np.int32).reshape(-1, perms.shape[1])
+    """The seeds a `Commutators` stands for, built and stacked all at once."""
+    return chains.perm_commutator(seeds.xs[seeds.ii], seeds.ys[seeds.jj])
 
 
 @pytest.mark.parametrize(
     "text, level, descriptor, before, pairs",
     [
         ("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)", 4, "gamma3", "derived", 414),
-        ("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)", 4, "kernel-derived:1", "full", 3514),
-        ("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)", 4, "kernel-gamma3:1", "kernel-derived:1", 5880),
-        ("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)", 4, "second-derived", "derived", 3237),
+        ("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)", 4, "kernel-derived:1", "full", 280),
+        ("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)", 4, "kernel-gamma3:1", "kernel-derived:1", 260),
+        ("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)", 4, "second-derived", "derived", 414),
         ("p = 3; E1 = (2, 2)", 5, "gamma3", "derived", 124),
-        ("p = 3; E1 = (2, 2)", 5, "kernel-derived:1", "full", 1133),
-        ("p = 3; E1 = (2, 2)", 5, "kernel-gamma3:1", "kernel-derived:1", 2099),
-        ("p = 3; E1 = (2, 2)", 5, "second-derived", "derived", 1071),
+        ("p = 3; E1 = (2, 2)", 5, "kernel-derived:1", "full", 63),
+        ("p = 3; E1 = (2, 2)", 5, "kernel-gamma3:1", "kernel-derived:1", 60),
+        ("p = 3; E1 = (2, 2)", 5, "second-derived", "derived", 62),
     ],
 )
 def test_commutator_seeds_are_built_once_a_batch_at_a_time(text, level, descriptor, before, pairs, monkeypatch):
@@ -509,6 +505,7 @@ def test_commutator_seeds_are_built_once_a_batch_at_a_time(text, level, descript
 
     def capturing_close(p, depth, seeds, conjugators=()):
         captured.update(seeds=seeds, conjugators=conjugators)
+        rows.clear()  # `second-derived` builds its S, the [g_i, g_j], before the closure
         return close(p, depth, seeds, conjugators)
 
     monkeypatch.setattr(chains, "perm_commutator", counted_comm)
@@ -532,6 +529,95 @@ def test_commutator_seeds_are_built_once_a_batch_at_a_time(text, level, descript
     # The seeds in one stack, then the same recipe commutators.
     assert rows[0] == pairs and sum(rows) == streamed
     assert chain_digest(chain) == chain_digest(reference)
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ["kernel-derived:x", "kernel-derived:01", "kernel-derived: 1", "kernel-derived:1 ", "kernel-derived:+1",
+     "kernel-derived:-1", "kernel-derived:", "kernel-derived", "kernel-gamma3:1.0", "kernel:\u0661", "kernel:00",
+     "full:1", "second-derived:1", "derived:", "gamma", ""],
+)
+def test_malformed_chain_descriptors_are_unknown_and_write_nothing(descriptor, tmp_path):
+    q = quotient(S22, 3, store=ChainStore(cache_dir=str(tmp_path)))
+    with pytest.raises(ChainError, match="unknown chain descriptor"):
+        q.chain(descriptor)
+    assert not os.listdir(tmp_path)
+
+
+def test_a_kernel_chain_has_one_name_and_one_cache_file(tmp_path):
+    # k is read once, as decimal digits with no leading zero, so a kernel
+    # chain has one name and one cache file.
+    store = ChainStore(cache_dir=str(tmp_path))
+    q = quotient(S22, 3, store=store)
+    q.chain("kernel-derived:1")
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        os.path.basename(store._path(S22, 3, d)) for d in ("full", "kernel-derived:1")
+    )
+    # St(0) is the whole group, so `kernel-derived:0` is `derived`, through the greedy S_0.
+    _assert_same_group(q.chain("kernel-derived:0"), q.derived())
+    _assert_same_group(q.chain("kernel-gamma3:0"), q.gamma3())
+
+
+def pair_mask_chain(xs, ys):
+    """[H, K] for the groups H and K of chains `xs` and `ys`, K normalizing
+    H, built as `second-derived`, `kernel-derived:k` and `kernel-gamma3:k`
+    were before `commutator_chain`, kept as its oracle: seeded with
+    commutator(x, y) for the pivots x of `xs` and y of `ys` (x before y when
+    they are one chain), less the pairs of two deepest pivots, and closed
+    under conjugation by the pivots of `ys`."""
+    xp = xs.perms()
+    yp = xp if xs is ys else ys.perms()
+    x_top, y_top = (sum(c.dims()[:-1]) for c in (xs, ys))
+    ii, jj = np.indices((len(xp), len(yp))).reshape(2, -1)
+    formed = ((ii < x_top) | (jj < y_top)) & ((jj > ii) if xs is ys else True)
+    return close_chain(xs.p, xs.depth, chains.Commutators(xp, yp, ii[formed], jj[formed], keep=False), conjugators=yp)
+
+
+ORACLE_DATA = [NumericalDatum.from_text(text) for _, text in SUITE_DATA] + _random_p3_data(20)
+
+
+@pytest.mark.parametrize(
+    "text, level",
+    [(datum.canonical_line(), level) for datum in ORACLE_DATA[:12] for level in range(2, 5 if datum.p == 3 else 4)]
+    + [(datum.canonical_line(), 3) for datum in ORACLE_DATA[12:]],
+)
+def test_commutator_chains_match_the_pair_mask_builders(text, level):
+    # The suite data at n = 2..4 (p = 3) and 2..3 (p = 5), and random p = 3
+    # data at n = 3: equal dims and containment both ways.
+    q = quotient(NumericalDatum.from_text(text), level)
+    gens = q.gen_perms
+    # S_1, the directed generators, closes to `kernel:1`; the greedy S_2 to `kernel:2`.
+    assert np.array_equal(q._normal_generators(1), gens[1:])
+    _assert_same_group(q.chain("second-derived"), pair_mask_chain(q.derived(), q.derived()))
+    for k in (1, 2):
+        kernel = q.kernel(k)
+        _assert_same_group(close_chain(q.datum.p, level, q._normal_generators(k), conjugators=gens), kernel)
+        kernel_derived = pair_mask_chain(kernel, kernel)
+        _assert_same_group(q.chain(f"kernel-derived:{k}"), kernel_derived)
+        _assert_same_group(q.chain(f"kernel-gamma3:{k}"), pair_mask_chain(kernel_derived, kernel))
+
+
+@pytest.mark.parametrize(
+    "datum", [d for d in ORACLE_DATA if CHECKS["constant-vector"].applies(classify(d), d) is None],
+    ids=NumericalDatum.canonical_line,
+)
+def test_constant_vector_derived_chains_match_the_pair_mask_builder(datum, monkeypatch):
+    # Each derived subgroup [N, N] of an index-p subgroup N that the check
+    # closes, against the pair-mask builder on N, closed again from its pivots.
+    built = []
+    commutator_chain = chains.commutator_chain
+
+    def capturing(p, depth, xs, ys, conjugators, keep=False):
+        built.append((ys, commutator_chain(p, depth, xs, ys, conjugators, keep)))
+        return built[-1][1]
+
+    monkeypatch.setattr(checks, "commutator_chain", capturing)
+    for level in (3, 4) if datum in ORACLE_DATA[:12] else (3,):
+        run_check("constant-vector", datum, level=level, store=ChainStore())
+    assert len(built) >= 6
+    for ys, chain in built:
+        index_p = close_chain(chain.p, chain.depth, ys)
+        _assert_same_group(chain, pair_mask_chain(index_p, index_p))
 
 
 @pytest.mark.parametrize(

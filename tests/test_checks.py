@@ -18,7 +18,7 @@ from megs.checks import (
     SUITE_WORD,
     VERIFIED,
     CheckError,
-    _index_p_subgroup,
+    _index_p_elements,
     _star_products,
     run_check,
     run_suite,
@@ -221,7 +221,8 @@ def test_constant_vector_closes_each_subgroup_once(monkeypatch):
 def test_star_products_match_the_portrait_loop(datum, level):
     # The loop the constant-vector check ran on portraits, kept as the reference.
     p = datum.p
-    kj = _index_p_subgroup(datum, quotient(datum, level), (1,))
+    q = quotient(datum, level)
+    kj = q.normal_closure(_index_p_elements(datum, q, (1,)))
     pivots = kj.pivots()
     rng = random.Random(5)
     want = []

@@ -48,21 +48,6 @@ def test_full_and_derived_orders_match_sympy(text, level):
     assert q.derived().order() == group.derived_subgroup().order()
 
 
-@pytest.mark.parametrize("text, level", CASES)
-def test_chains_seeded_with_pivot_commutators_match_sympy(text, level):
-    # K, the normal closure of the directed generators, is St_G(1), the
-    # level kernel `kernel:1`; these three chains are seeded with
-    # commutators of another chain's pivots.
-    q = quotient(NumericalDatum.from_text(text), level)
-    group, gens = _groups(q)
-    k = group.normal_closure(PermutationGroup(gens[1:]))
-    k_derived = k.derived_subgroup()
-    assert q.kernel(1).order() == k.order()
-    assert q.chain("kernel-derived:1").order() == k_derived.order()
-    assert q.chain("second-derived").order() == group.derived_subgroup().derived_subgroup().order()
-    assert q.chain("kernel-gamma3:1").order() == group.commutator(k_derived, k).order()
-
-
 @pytest.mark.parametrize("datum", _random_p3_data(20), ids=NumericalDatum.canonical_line)
 def test_full_and_derived_orders_of_random_data_match_sympy(datum):
     q = quotient(datum, 3)
@@ -72,6 +57,40 @@ def test_full_and_derived_orders_of_random_data_match_sympy(datum):
 
 
 GAMMA3_CASES = CASES + [(datum.canonical_line(), 3) for datum in _random_p3_data(20)]
+
+
+@pytest.mark.parametrize("text, level", GAMMA3_CASES)
+def test_chains_seeded_with_pivot_commutators_match_sympy(text, level):
+    # K, the normal closure of the directed generators, is St_G(1), the
+    # level kernel `kernel:1`. At k = 2, where `commutator_chain` reads a
+    # normal generating set of St_G(2) off a greedy search, sympy's K is the
+    # group of the pivots of `kernel:2`.
+    q = quotient(NumericalDatum.from_text(text), level)
+    group, gens = _groups(q)
+    k = group.normal_closure(PermutationGroup(gens[1:]))
+    k_derived = k.derived_subgroup()
+    assert q.kernel(1).order() == k.order()
+    assert q.chain("kernel-derived:1").order() == k_derived.order()
+    assert q.chain("second-derived").order() == group.derived_subgroup().derived_subgroup().order()
+    assert q.chain("kernel-gamma3:1").order() == group.commutator(k_derived, k).order()
+    identity = Permutation(list(range(group.degree)))
+    k2 = PermutationGroup([identity] + [Permutation(g.tolist()) for g in q.kernel(2).perms()])
+    k2_derived = k2.derived_subgroup()
+    assert q.chain("kernel-derived:2").order() == k2_derived.order()
+    assert q.chain("kernel-gamma3:2").order() == group.commutator(k2_derived, k2).order()
+
+
+@pytest.mark.parametrize("text", [text for text, level in CASES if level == 3])
+def test_kernel_chains_at_level_two_match_sympy_at_depth_4(text):
+    # Below depth 4, St_G(2) lies in the abelian St_G(n-1), so the k = 2
+    # chains above are trivial; at depth 4 they are not, and the greedy
+    # normal generators of St_G(2) decide them.
+    q = quotient(NumericalDatum.from_text(text), 4)
+    group, _ = _groups(q)
+    k2 = PermutationGroup([Permutation(list(range(group.degree)))] + [Permutation(g.tolist()) for g in q.kernel(2).perms()])
+    k2_derived = k2.derived_subgroup()
+    assert q.chain("kernel-derived:2").order() == k2_derived.order() > 1
+    assert q.chain("kernel-gamma3:2").order() == group.commutator(k2_derived, k2).order()
 
 
 @pytest.mark.parametrize("text, level", GAMMA3_CASES)
