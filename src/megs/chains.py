@@ -81,7 +81,10 @@ class ChainLevel:
     v - v[cols] @ E with E = T @ rows (mod p), both int16. Above the deepest
     level, `unpow[j]` stacks the leaf permutations of rep_j^-1, ...,
     rep_j^-(p-1), so the rows with c_j = e > 0 are composed with rep_j^-e by
-    one gather through `unpow[j][e - 1]` (`_unpower`).
+    one gather through `unpow[j][e - 1]` (`_unpower`). These tables are the
+    largest part of the state, so a finished chain drops them
+    (`SubgroupChain._drop_powers`): the level keeps them for a prefix of its
+    pivots, and `state` builds the rest in one stacked call.
     """
 
     __slots__ = ("p", "depth", "cols", "rows", "_perms", "_tinv", "_ech", "_unpow")
@@ -92,14 +95,17 @@ class ChainLevel:
         self.rows = self._ech = np.empty((0, p**d), np.int16)
         self._perms = np.empty((0, p**depth), np.int32) if d < depth - 1 else None
         self._tinv = np.empty((0, 0), np.int16)
-        self._unpow: list[np.ndarray | None] = []
+        self._unpow: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return len(self.cols)
 
-    def perms(self) -> np.ndarray:
-        """The representatives' leaf permutations, one row each."""
-        return _deepest_perms(self.p, self.depth, self.rows) if self._perms is None else self._perms
+    def perms(self, idx=slice(None)) -> np.ndarray:
+        """The representatives' leaf permutations, or those at positions
+        idx, one row each; at the deepest level, built for those alone."""
+        if self._perms is None:
+            return _deepest_perms(self.p, self.depth, self.rows[idx])
+        return self._perms[idx]
 
     def labels(self) -> np.ndarray:
         """The representatives' labels, one int16 row each."""
@@ -110,17 +116,22 @@ class ChainLevel:
     def append(self, cols, rows, perms=None, unpow=None) -> None:
         """Append pivots: their columns, rows and, above the deepest level,
         the representatives' leaf permutations, with their inverse powers
-        when those are already built. A deepest level ignores `perms`."""
+        when those are already built, kept when every earlier pivot's are.
+        A deepest level ignores `perms`."""
         self.cols = np.concatenate([self.cols, cols], dtype=np.intp)
         self.rows = np.concatenate([self.rows, rows], dtype=np.int16)
         if self._perms is not None:
+            if unpow is not None and len(self._unpow) == len(self._perms):
+                self._unpow.extend(unpow)
             self._perms = np.concatenate([self._perms, perms], dtype=np.int32)
-            self._unpow.extend(unpow if unpow is not None else [None] * len(cols))
 
     def state(self) -> tuple:
-        """The pivot columns, T, E and the inverse powers, up to date."""
+        """The pivot columns, T, E and the inverse powers, up to date; the
+        powers of the pivots past the kept prefix take one stacked call."""
         if len(self._tinv) < len(self.cols):
             self._extend()
+        if self._perms is not None and len(self._unpow) < len(self._perms):
+            self._unpow.extend(perm_powers(self._perms[len(self._unpow) :], 1 - self.p).swapaxes(0, 1))
         return self.cols, self._tinv, self._ech, self._unpow
 
     def _extend(self) -> None:
@@ -150,9 +161,6 @@ class ChainLevel:
         tinv = np.zeros((k + m, k + m), np.int16)
         tinv[:k, :k], tinv[:k, k:], tinv[k:, k:] = self._tinv, x, t_new
         self._tinv = tinv
-        for j in range(k, len(self._unpow)):
-            if self._unpow[j] is None:
-                self._unpow[j] = perm_powers(self._perms[j], 1 - p)
 
 
 class SubgroupChain:
@@ -184,9 +192,26 @@ class SubgroupChain:
     def order(self) -> int:
         return self.p ** self.order_exponent()
 
-    def perms(self) -> np.ndarray:
-        """The pivots' leaf permutations in level order, one row each."""
-        return np.concatenate([np.empty((0, self.p**self.depth), np.int32), *(lv.perms() for lv in self.levels)])
+    def perms(self, idx=None) -> np.ndarray:
+        """The pivots' leaf permutations in level order, or those of the
+        pivots at positions idx of that order, one row each; deepest ones
+        are built for the pivots taken alone."""
+        if idx is None:
+            idx = np.arange(self.order_exponent())
+        out = np.empty((len(idx), self.p**self.depth), np.int32)
+        first = 0
+        for lv in self.levels:
+            sel = (first <= idx) & (idx < first + len(lv))
+            if sel.any():
+                out[sel] = lv.perms(idx[sel] - first)
+            first += len(lv)
+        return out
+
+    def _drop_powers(self) -> None:
+        """Drop every level's inverse powers, which `ChainLevel.state`
+        rebuilds when a sift next reads them."""
+        for lv in self.levels:
+            lv._unpow = []
 
     def pivots(self) -> list[Portrait]:
         return [Portrait._from_perm(self.p, self.depth, perm) for perm in self.perms()]
@@ -223,9 +248,10 @@ class SubgroupChain:
         level, so these are the pivots of sifting and inserting the rows one
         at a time.
 
-        Returns each row's failing level, its residual, and the pivots made,
-        as (row, level) in row order; a level's pivots are appended in row
-        order, so those of level d are its last ones.
+        Returns each row's failing level, its residual (None with
+        `insert`, which builds no residuals), and the pivots made, as (row,
+        level) in row order; a level's pivots are appended in row order, so
+        those of level d are its last ones.
         """
         p, depth = self.p, self.depth
         offs = level_offsets(p, depth)
@@ -233,7 +259,7 @@ class SubgroupChain:
         if work.ndim != 2 or work.shape[1] != p**depth:
             raise ChainError(f"a stack of shape {work.shape} is not of permutations of {p}^{depth} leaves")
         labels = perm_labels(p, depth, work)
-        out = np.empty_like(work)
+        out = None if insert else np.empty_like(work)
         fail = np.full(len(work), -1, dtype=np.intp)
         rows = np.arange(len(work))  # the input row of each row of `work`
         made: list[tuple[int, int]] = []
@@ -262,22 +288,22 @@ class SubgroupChain:
                 if moved:
                     labels = perm_labels(p, depth, work)
                 continue
-            if last and not insert:
-                # The residual in St(n-1) whose only labels are the reduced ones.
-                work[failed] = _deepest_perms(p, depth, v[failed])
             if insert:
                 pivots = self._eliminate(d, work, v, failed)
                 made.extend((int(rows[i]), d) for i in pivots)
                 moved = moved or len(pivots) < failed.sum()
                 failed = np.zeros_like(failed)
                 failed[pivots] = True
-            gone = rows[failed]
-            fail[gone] = d
-            out[gone] = work[failed]
+            else:
+                if last:  # the residual in St(n-1) whose only labels are the reduced ones
+                    work[failed] = _deepest_perms(p, depth, v[failed])
+                out[rows[failed]] = work[failed]
+            fail[rows[failed]] = d
             kept = ~failed
             work, rows = work[kept], rows[kept]
             labels = perm_labels(p, depth, work) if moved and not last else labels[kept]
-        out[rows] = identity_perm(p, depth)
+        if not insert:
+            out[rows] = identity_perm(p, depth)
         made.sort(key=lambda item: item[0])
         return fail, out, made
 
@@ -292,21 +318,20 @@ class SubgroupChain:
         kept. The later rows are reduced by it, on their labels and, above
         the deepest level, by composing with its inverse powers, which the
         level then keeps; the first one still left with labels is next. The
-        pivots are appended to the level as one stack. Returns the positions
-        of the rows made pivots.
+        pivots are appended to the level as one stack, and no residual is
+        made for them. Returns the positions of the rows made pivots.
         """
         p, depth = self.p, self.depth
         last = d == depth - 1
         idx = np.flatnonzero(failed)
         v = v[idx].astype(np.int64)
-        made, cols, heads, rows, perms, unpow = [], [], [], [], [], []
+        made, cols, rows, perms, unpow = [], [], [], [], []
         while idx.size:
             i = idx[0]
             col = int(np.flatnonzero(v[0])[0])
             s = pow(int(v[0, col]), -1, p)
             made.append(i)
             cols.append(col)
-            heads.append(v[0])
             rows.append(v[0] * s % p)
             if not last:
                 perms.append(perm_power(work[i], s))
@@ -321,8 +346,6 @@ class SubgroupChain:
                 left = v.any(axis=1)
                 if not left.all():
                     idx, v = idx[left], v[left]
-        if last:  # each pivot's residual: the portrait of the labels it had when made
-            work[made] = _deepest_perms(p, depth, np.array(heads))
         self.levels[d].append(cols, rows, perms, unpow)
         return made
 
@@ -341,12 +364,16 @@ class SubgroupChain:
         return self.sift(g)[0] is None
 
     def contains_chain(self, other: "SubgroupChain") -> tuple[bool, Portrait | None]:
-        """Whether every pivot of `other` sifts into this chain."""
+        """Whether every pivot of `other` sifts into this chain, and if not,
+        the first that fails; its pivots are sifted BATCH at a time, in order."""
         self._require_fit("a chain", other.p, other.depth)
-        perms = other.perms()
-        fail, _ = self.sift_batch(perms)
-        bad = np.flatnonzero(fail >= 0)
-        return (True, None) if not bad.size else (False, Portrait._from_perm(self.p, self.depth, perms[bad[0]]))
+        positions = np.arange(other.order_exponent())
+        for start in range(0, len(positions), BATCH):
+            perms = other.perms(positions[start : start + BATCH])
+            bad = np.flatnonzero(self.sift_batch(perms)[0] >= 0)
+            if bad.size:
+                return False, Portrait._from_perm(self.p, self.depth, perms[bad[0]])
+        return True, None
 
     def elements(self, limit: int = 200000) -> np.ndarray:
         """All elements as a stack of leaf permutations, one row each, in
@@ -407,11 +434,12 @@ BATCH = 64
 
 class Commutators(NamedTuple):
     """Closure seeds commutator(xs[i], ys[j]) for the index pairs (i, j) of
-    (ii, jj), in order, xs and ys stacks of leaf permutations. With `keep`
-    the chain keeps every seed's labels (`gens`); without it, none."""
+    (ii, jj), in order, xs and ys stacks of leaf permutations or chains,
+    whose pivots stand in level order. With `keep` the chain keeps every
+    seed's labels (`gens`); without it, none."""
 
-    xs: np.ndarray
-    ys: np.ndarray
+    xs: np.ndarray | SubgroupChain
+    ys: np.ndarray | SubgroupChain
     ii: np.ndarray
     jj: np.ndarray
     keep: bool
@@ -439,7 +467,8 @@ def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
     batch enqueues goes behind every recipe in the queue, so the pivots do
     not depend on BATCH. The chain keeps the seeds' labels (`gens`), none
     for `Commutators` without `keep`, and never more than a batch of
-    `Commutators` seeds as permutations.
+    `Commutators` seeds as permutations. It drops its inverse powers when
+    the lift is done (`SubgroupChain._drop_powers`).
 
     These recipes suffice, by descending induction on d. Suppose every
     actor normalizes the group N of the pivots below level d. Every pivot
@@ -489,15 +518,17 @@ def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
     while queue:
         batch = [queue.popleft() for _ in range(min(BATCH, len(queue)))]
         absorb(_build(batch, p, [lv.perms() for lv in chain.levels[:last]]))
+    chain._drop_powers()
     chain.gens = np.concatenate(gens)
     _spin(chain, conjugators)
     return chain
 
 
-def commutator_chain(p: int, depth: int, xs: np.ndarray, ys: np.ndarray, conjugators, keep: bool = False) -> SubgroupChain:
+def commutator_chain(p: int, depth: int, xs, ys, conjugators, keep: bool = False) -> SubgroupChain:
     """Chain of [N, M] for N = ncl_G(S) and M = <Y> normal in G, where G is
-    the conjugators' group and S, Y are the stacks `xs`, `ys`: the closure
-    under G of the seeds commutator(s, y) (`Commutators`), in that order,
+    the conjugators' group and S, Y are `xs`, `ys`, stacks of leaf
+    permutations or chains standing for their pivots: the closure under G
+    of the seeds commutator(s, y) (`Commutators`), in that order,
     only s before y when S is Y ([y, y] = 1, [y, s] = [s, y]^-1), keeping
     their labels with `keep`. Every seed lies in G, as `close_chain` needs.
 
@@ -507,7 +538,8 @@ def commutator_chain(p: int, depth: int, xs: np.ndarray, ys: np.ndarray, conjuga
     [s^g, m] = [s, m^(g^-1)]^g with m^(g^-1) in M gives [s^g, m]; and
     [xy, m] = [x, m]^y [y, m] and [x^-1, m] = ([x, m]^-1)^(x^-1) give [n, m],
     n a product of such s^g and their inverses."""
-    ii, jj = np.indices((len(xs), len(ys))).reshape(2, -1)
+    sizes = [x.order_exponent() if isinstance(x, SubgroupChain) else len(x) for x in (xs, ys)]
+    ii, jj = np.indices(sizes).reshape(2, -1)
     if xs is ys:
         ii, jj = ii[ii < jj], jj[ii < jj]
     return close_chain(p, depth, Commutators(xs, ys, ii, jj, keep), conjugators=conjugators)
@@ -520,13 +552,20 @@ def _seed_batches(p: int, depth: int, seeds):
     and repeats are sifted too: they sift into the chain and insert nothing."""
     if isinstance(seeds, Commutators):
         xs, ys, ii, jj, keep = seeds
-        stacks = (perm_commutator(xs[ii[s : s + BATCH]], ys[jj[s : s + BATCH]]) for s in range(0, len(ii), BATCH))
+        spans = (slice(s, s + BATCH) for s in range(0, len(ii), BATCH))
+        stacks = (perm_commutator(_rows(xs, ii[s]), _rows(ys, jj[s])) for s in spans)
     else:
         keep = True
         stacks = (seeds[s : s + BATCH] for s in range(0, len(seeds), BATCH))
     none = np.empty((0, label_count(p, depth)), np.int16)
     for perms in stacks:
         yield perms, perm_labels(p, depth, perms).astype(np.int16) if keep else none
+
+
+def _rows(stack: np.ndarray | SubgroupChain, idx: np.ndarray) -> np.ndarray:
+    """Rows idx of a stack of leaf permutations, or of a chain's pivots in
+    level order, built for those pivots alone (`SubgroupChain.perms`)."""
+    return stack.perms(idx) if isinstance(stack, SubgroupChain) else stack[idx]
 
 
 def _build(recipes: list[tuple], p: int, stacks=()) -> np.ndarray:
@@ -563,6 +602,7 @@ def _image_chain(p: int, depth: int, images: np.ndarray) -> SubgroupChain:
     """
     chain = SubgroupChain(p, depth)
     chain._level_pass(images[::-1], insert=True)
+    chain._drop_powers()
     return chain
 
 
@@ -942,16 +982,18 @@ class FiniteQuotient:
         `second-derived` [G', G'] takes the [g_i, g_j], i < j, and the derived
         pivots; `kernel-derived:k` [K, K], K = St(k), takes S_k
         (`_normal_generators`) and the pivots of `kernel:k`; and
-        `kernel-gamma3:k` [K', K] = [K, K'] S_k and those of `kernel-derived:k`."""
+        `kernel-gamma3:k` [K', K] = [K, K'] S_k and those of `kernel-derived:k`.
+        Pivots are passed as their chain, which the closure reads a batch of
+        seeds at a time."""
         p, n, gens = self.datum.p, self.level, self.gen_perms
         if name == "full":
             return close_chain(p, n, gens)
         if name in ("derived", "gamma3"):
-            return commutator_chain(p, n, self.derived().perms() if name == "gamma3" else gens, gens, gens, keep=True)
+            return commutator_chain(p, n, self.derived() if name == "gamma3" else gens, gens, gens, keep=True)
         if name == "second-derived":
             ii, jj = np.triu_indices(len(gens), 1)
-            return commutator_chain(p, n, perm_commutator(gens[ii], gens[jj]), self.derived().perms(), gens)
-        ys = self.chain(f"kernel:{k}" if name == "kernel-derived" else f"kernel-derived:{k}").perms()
+            return commutator_chain(p, n, perm_commutator(gens[ii], gens[jj]), self.derived(), gens)
+        ys = self.chain(f"kernel:{k}" if name == "kernel-derived" else f"kernel-derived:{k}")
         return commutator_chain(p, n, self._normal_generators(int(k)), ys, gens)
 
     def _normal_generators(self, k: int) -> np.ndarray:

@@ -993,15 +993,18 @@ def _suite_rows() -> list[tuple[str, str, NumericalDatum, str, dict]]:
 
 
 def run_suite(
-    store: ChainStore | None = None,
+    cache_dir: str | None = None,
     degree_guard: int = DEFAULT_DEGREE_GUARD,
     seed: int = DEFAULT_SEED,
 ) -> list[tuple[str, CheckReport]]:
-    """Run every suite row sequentially with one shared store."""
-    if store is None:
-        store = ChainStore()
-    out = []
+    """Run every suite row sequentially. A datum's rows share one store on
+    `cache_dir`, opened when its first row starts, so only one datum's
+    chains are held at a time; the store's keys name the datum, so the data
+    would share no chain."""
+    out, store, last = [], None, None
     for name, _, datum, check, kwargs in _suite_rows():
+        if datum is not last:
+            store, last = ChainStore(cache_dir), datum
         report = run_check(
             check, datum, seed=seed, store=store, degree_guard=degree_guard, **kwargs
         )

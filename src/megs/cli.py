@@ -177,8 +177,7 @@ def cmd_witness(args: argparse.Namespace) -> Output:
 
 
 def cmd_suite(args: argparse.Namespace) -> Output:
-    store = ChainStore(args.cache_dir)
-    rows = run_suite(store=store, degree_guard=args.modulus_guard, seed=args.seed)
+    rows = run_suite(cache_dir=args.cache_dir, degree_guard=args.modulus_guard, seed=args.seed)
     lines = [f"suite: {len(rows)} checks, seed {args.seed}"]
     worst = EXIT_OK
     predicted = 0

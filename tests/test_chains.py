@@ -292,6 +292,62 @@ def test_inverse_powers_are_built_once_per_pivot_above_the_deepest_level(monkeyp
     assert len(calls) == 64
 
 
+def test_a_finished_chain_keeps_no_inverse_powers_until_a_sift_reads_them(monkeypatch):
+    # A closure drops the tables it built; the next sift rebuilds a level's
+    # in one stacked call, and they are kept from then on.
+    chain = quotient(S22, 5).chain("gamma3")
+    upper = [lv for lv in chain.levels[:-1] if len(lv)]
+    assert upper and all(lv._unpow == [] for lv in chain.levels)
+    calls = []
+    perm_powers = chains.perm_powers
+
+    def counted(x, e):
+        calls.append(len(x))
+        return perm_powers(x, e)
+
+    monkeypatch.setattr(chains, "perm_powers", counted)
+    members = chain.perms()  # every level's pivots, so the sift reads every level
+    assert (chain.sift_batch(members)[0] < 0).all()
+    assert calls == [len(lv) for lv in upper]
+    for lv in upper:
+        assert len(lv._unpow) == len(lv)
+        assert all(np.array_equal(got, perm_powers(rep, -2)) for got, rep in zip(lv._unpow, lv.perms()))
+    assert (chain.sift_batch(members)[0] < 0).all()
+    assert len(calls) == len(upper)
+
+
+def test_commutator_chains_build_deepest_permutations_a_batch_at_a_time(monkeypatch):
+    # gamma3 and second-derived read the derived pivots a batch at a time
+    # instead of stacking all 112 deepest ones, also for a batch whose pairs
+    # run past the last pivot and start again at the first, and inserting
+    # builds no residuals.
+    widths = []
+    deepest_perms = chains._deepest_perms
+
+    def counted(p, depth, rows):
+        widths.append(len(rows))
+        return deepest_perms(p, depth, rows)
+
+    monkeypatch.setattr(chains, "_deepest_perms", counted)
+    q = quotient(NumericalDatum.from_text("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)"), 4)
+    assert q.gamma3().dims() == (0, 3, 21, 112)
+    assert q.derived().dims()[-1] == 112
+    assert q.chain("second-derived").order_exponent() > 0
+    assert widths and max(widths) <= chains.BATCH
+
+
+def test_contains_chain_reports_the_first_failing_pivot_batch_by_batch(monkeypatch):
+    q = quotient(S22, 4)
+    full, derived = q.full(), q.derived()
+    perms = full.perms()
+    first = int(np.flatnonzero(derived.sift_batch(perms)[0] >= 0)[0])
+    for batch in (1, 2, chains.BATCH):
+        monkeypatch.setattr(chains, "BATCH", batch)
+        ok, witness = derived.contains_chain(full)
+        assert not ok and np.array_equal(witness.perm, perms[first])
+        assert full.contains_chain(derived) == (True, None)
+
+
 def test_a_deepest_level_keeps_its_rows_and_no_permutations():
     chain = quotient(S22, 5).full()
     deepest = chain.levels[-1]
@@ -468,8 +524,10 @@ def test_a_chain_whose_seeds_all_drop_is_trivial_and_round_trips(tmp_path):
 
 
 def stacked_seeds(seeds):
-    """The seeds a `Commutators` stands for, built and stacked all at once."""
-    return chains.perm_commutator(seeds.xs[seeds.ii], seeds.ys[seeds.jj])
+    """The seeds a `Commutators` stands for, built and stacked all at once;
+    an operand given as a chain stands for the stack of its pivots."""
+    xs, ys = (x.perms() if isinstance(x, SubgroupChain) else x for x in (seeds.xs, seeds.ys))
+    return chains.perm_commutator(xs[seeds.ii], ys[seeds.jj])
 
 
 @pytest.mark.parametrize(

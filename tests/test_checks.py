@@ -1,13 +1,14 @@
 import json
 import random
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from megs import chains
+from megs import chains, checks
 from megs.chains import ChainStore, DegreeGuardError, quotient
 from megs.checks import (
     CHECK_NAMES,
@@ -289,6 +290,28 @@ def test_suite_plan_shape():
     for row in rows:
         assert row[2] in CHECK_NAMES
         assert isinstance(row[3], dict)
+
+
+def test_run_suite_never_holds_the_chains_of_two_data_at_once(monkeypatch):
+    # One store per datum: when a datum's first chain is asked for, no live
+    # store holds a chain of another datum.
+    live = weakref.WeakSet()
+    held = []
+
+    class Spy(ChainStore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            live.add(self)
+
+        def get_or_build(self, datum, level, descriptor, builder):
+            held.append({key[0] for store in live for key in store.mem} | {datum.to_text()})
+            return super().get_or_build(datum, level, descriptor, builder)
+
+    monkeypatch.setattr(checks, "ChainStore", Spy)
+    rows = run_suite()
+    assert len(rows) == len(suite_plan())
+    assert len({text for data in held for text in data}) == len(SUITE_DATA)
+    assert max(map(len, held)) == 1
 
 
 def test_suite_rows_for_one_datum_run_as_predicted():
