@@ -51,7 +51,7 @@ except ImportError:
 from .datum import NumericalDatum, generator_portraits
 from .fp import row_echelon
 from .portraits import Portrait, _perm_from_labels, identity_perm, label_count, level_offsets, perm_labels, vertex_position
-from .portraits import perm_commutator, perm_compose, perm_invert, perm_power, perm_powers
+from .portraits import perm_commutator, perm_compose, perm_invert, perm_power, perm_powers, row_blocks
 
 
 class ChainError(RuntimeError):
@@ -515,6 +515,7 @@ def close_chain(p: int, depth: int, seeds, conjugators=()) -> SubgroupChain:
     for perms, labels in _seed_batches(p, depth, seeds):
         gens.append(labels)
         absorb(perms)
+        del perms  # before the next batch is built
     while queue:
         batch = [queue.popleft() for _ in range(min(BATCH, len(queue)))]
         absorb(_build(batch, p, [lv.perms() for lv in chain.levels[:last]]))
@@ -560,6 +561,7 @@ def _seed_batches(p: int, depth: int, seeds):
     none = np.empty((0, label_count(p, depth)), np.int16)
     for perms in stacks:
         yield perms, perm_labels(p, depth, perms).astype(np.int16) if keep else none
+        del perms  # before the next batch is built
 
 
 def _rows(stack: np.ndarray | SubgroupChain, idx: np.ndarray) -> np.ndarray:
@@ -572,8 +574,8 @@ def _build(recipes: list[tuple], p: int, stacks=()) -> np.ndarray:
     """The leaf permutations close_chain's recipes stand for, one row each.
 
     An operand (d, i) is row i of stacks[d]. Recipes of one kind are built
-    together, from stacks of their operands, by the leaf-permutation
-    arithmetic of `portraits`.
+    together, a kernel block (`row_blocks`) at a time, from stacks of their
+    operands, by the leaf-permutation arithmetic of `portraits`.
     """
     recipes = [[stacks[a[0]][a[1]] if isinstance(a, tuple) else a for a in item] for item in recipes]
     out = np.empty((len(recipes), len(recipes[0][1])), dtype=np.int32)
@@ -581,8 +583,9 @@ def _build(recipes: list[tuple], p: int, stacks=()) -> np.ndarray:
     for i, item in enumerate(recipes):
         kinds.setdefault(item[0], []).append(i)
     for kind, idx in kinds.items():
-        args = [np.array(arg) for arg in zip(*(recipes[i][1:] for i in idx))]
-        out[idx] = perm_power(args[0], p) if kind == "pow" else perm_commutator(*args)
+        for block in (idx[s] for s in row_blocks(len(idx), out.shape[1])):
+            args = [np.array(arg) for arg in zip(*(recipes[i][1:] for i in block))]
+            out[block] = perm_power(args[0], p) if kind == "pow" else perm_commutator(*args)
     return out
 
 

@@ -95,24 +95,42 @@ def _perm_from_labels(p: int, depth: int, labels: np.ndarray) -> np.ndarray:
     return perm
 
 
+# The most leaf entries the stacked kernels take at once: a block's int64 flat
+# indices (125 KiB) stay below glibc's default 128 KiB mmap threshold, so its
+# temporaries reuse heap memory instead of faulting in fresh pages.
+BLOCK = 16_000
+
+
+def row_blocks(rows: int, width: int):
+    """Slices of `rows` rows of `width` entries, at most BLOCK entries each; a wider row is a block alone."""
+    step = max(1, BLOCK // max(width, 1))
+    return (slice(s, s + step) for s in range(0, rows, step))
+
+
 def _flat(x: np.ndarray, width: int) -> np.ndarray:
     """Each row of positions shifted to index its own row of a flattened stack of `width`-long rows."""
-    return x if x.ndim == 1 else x + np.arange(0, len(x) * width, width)[:, None]
+    return x + np.arange(0, len(x) * width, width)[:, None]
 
 
 def perm_compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x then y: entry u is y[x[u]]; x may also be rows of positions of any length."""
-    if y.ndim == 1:
-        return np.take(y, x)
     if x.ndim == 1:
-        return np.take(y, x, axis=1)
-    return np.take(y, _flat(x, y.shape[1]))
+        return np.take(y, x, axis=-1)
+    out = np.empty(x.shape, y.dtype)
+    for s in row_blocks(*x.shape):
+        out[s] = np.take(y, x[s]) if y.ndim == 1 else np.take(y[s], _flat(x[s], y.shape[1]))
+    return out
 
 
 def perm_invert(x: np.ndarray) -> np.ndarray:
     """The inverse, row by row."""
     inv = np.empty(x.shape, x.dtype)
-    inv.ravel()[_flat(x, x.shape[-1])] = _identity_row(x.shape[-1], x.dtype)
+    ident = _identity_row(x.shape[-1], x.dtype)
+    if x.ndim == 1:
+        inv[x] = ident
+        return inv
+    for s in row_blocks(*x.shape):
+        inv[s].ravel()[_flat(x[s], x.shape[1])] = ident
     return inv
 
 
@@ -139,9 +157,14 @@ def perm_powers(x: np.ndarray, e: int) -> np.ndarray:
 
 def perm_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x^-1 y^-1 x y, row by row: c = (y x)^-1 (x y) is the scatter c[(y x)[u]] = (x y)[u]."""
-    xy = perm_compose(x, y)
-    comm = np.empty_like(xy)
-    comm.ravel()[_flat(perm_compose(y, x), xy.shape[-1])] = xy
+    comm = np.empty(x.shape, y.dtype)
+    if x.ndim == 1:
+        comm[np.take(x, y)] = np.take(y, x)
+        return comm
+    width = x.shape[1]
+    for s in row_blocks(*x.shape):
+        xs, ys = x[s], y[s]
+        comm[s].ravel()[_flat(np.take(xs, _flat(ys, width)), width)] = np.take(ys, _flat(xs, width))
     return comm
 
 

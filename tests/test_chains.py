@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import deque
 from itertools import product as iter_product
 
@@ -587,6 +588,30 @@ def test_commutator_seeds_are_built_once_a_batch_at_a_time(text, level, descript
     # The seeds in one stack, then the same recipe commutators.
     assert rows[0] == pairs and sum(rows) == streamed
     assert chain_digest(chain) == chain_digest(reference)
+
+
+def test_no_seed_batch_outlives_the_next(monkeypatch):
+    # gamma3 of p5-exceptional at n = 4 sifts its 414 seeds in 7 batches of
+    # 64 x 625; each is dropped before the commutators of the next are built.
+    q = quotient(NumericalDatum.from_text("p = 5; E1 = (1, 0, 0, 1); E2 = (0, 1, 1, 0)"), 4)
+    q.derived()
+    refs, live = [], []
+    comm, seed_batches = chains.perm_commutator, chains._seed_batches
+
+    def watched_seed_batches(p, depth, seeds):
+        for perms, labels in seed_batches(p, depth, seeds):
+            refs.append(weakref.ref(perms))
+            yield perms, labels
+            del perms, labels
+
+    def checked_comm(x, y):
+        live.append(sum(ref() is not None for ref in refs))
+        return comm(x, y)
+
+    monkeypatch.setattr(chains, "_seed_batches", watched_seed_batches)
+    monkeypatch.setattr(chains, "perm_commutator", checked_comm)
+    assert q.gamma3().dims() == (0, 3, 21, 112)
+    assert len(refs) == 7 and len(live) > 7 and not any(live)
 
 
 @pytest.mark.parametrize(

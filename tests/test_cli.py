@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from megs import chains
+from megs import chains, portraits
 from megs.chains import ChainError, SubgroupChain
 from megs.cli import main
 
@@ -222,6 +222,17 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_cold_suite_matches_the_golden_output(tmp_path, capsys):
     # The stdout and JSON report of `megs suite --seed 20260817`, kept from
     # before the engine changed; every change to it must keep them.
+    assert_golden_cold_suite(tmp_path, capsys)
+
+
+def test_one_row_kernel_blocks_give_the_golden_suite(tmp_path, capsys, monkeypatch):
+    # With 7 leaf entries a block, the stacked kernels take one row at a time
+    # from depth 2 on.
+    monkeypatch.setattr(portraits, "BLOCK", 7)
+    assert_golden_cold_suite(tmp_path, capsys)
+
+
+def assert_golden_cold_suite(tmp_path, capsys):
     report = tmp_path / "suite.json"
     args = ["suite", "--seed", "20260817", "--cache-dir", str(tmp_path / "cache"), "--json-report", str(report)]
     assert main(args) == 0

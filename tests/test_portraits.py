@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from megs.datum import NumericalDatum, generator_portraits
 from megs.portraits import (
+    BLOCK,
     Portrait,
     TreeError,
     _perm_from_labels,
@@ -19,6 +21,7 @@ from megs.portraits import (
     perm_labels,
     perm_power,
     perm_powers,
+    row_blocks,
 )
 
 
@@ -431,3 +434,80 @@ def test_permutation_arithmetic_matches_the_portraits_row_by_row(case):
         (perm_commutator(x[0], y[0]), perm_commutator(x[:1], y[:1])),
     ]:
         assert np.array_equal(got, one_row[0])
+
+
+def one_shot_flat(x, width):
+    return x + np.arange(0, len(x) * width, width)[:, None]
+
+
+def one_shot_compose(x, y):
+    return np.take(y, one_shot_flat(x, y.shape[1]))
+
+
+def one_shot_invert(x):
+    inv = np.empty_like(x)
+    inv.ravel()[one_shot_flat(x, x.shape[1])] = np.arange(x.shape[1])
+    return inv
+
+
+def one_shot_commutator(x, y):
+    xy = one_shot_compose(x, y)
+    comm = np.empty_like(xy)
+    comm.ravel()[one_shot_flat(one_shot_compose(y, x), xy.shape[1])] = xy
+    return comm
+
+
+def one_shot_power(x, e):
+    out = np.broadcast_to(np.arange(x.shape[1], dtype=x.dtype), x.shape)
+    for _ in range(abs(e)):
+        out = one_shot_compose(out, x if e > 0 else one_shot_invert(x))
+    return out
+
+
+def random_perms(rng, rows, width):
+    return rng.permuted(np.tile(np.arange(width, dtype=np.int32), (rows, 1)), axis=1)
+
+
+@pytest.mark.parametrize(
+    "rows, width, blocks",
+    [
+        (0, 243, []),  # no rows
+        (10, 243, [10]),  # one block
+        (150, 243, [65, 65, 20]),  # several blocks, the last short
+        (3, BLOCK + 5, [1, 1, 1]),  # a row wider than a block is a block alone
+    ],
+)
+def test_blocked_kernels_match_the_one_shot_flat_index_formulas(rows, width, blocks):
+    assert [len(range(rows)[s]) for s in row_blocks(rows, width)] == blocks
+    rng = np.random.default_rng(rows * width)
+    x, y = random_perms(rng, rows, width), random_perms(rng, rows, width)
+    pairs = [
+        (perm_compose(x, y), one_shot_compose(x, y)),
+        (perm_invert(x), one_shot_invert(x)),
+        (perm_commutator(x, y), one_shot_commutator(x, y)),
+        (perm_power(x, 5), one_shot_power(x, 5)),
+        (perm_power(x, -3), one_shot_power(x, -3)),
+        (perm_powers(x, 3), np.stack([one_shot_power(x, e) for e in (1, 2, 3)])),
+        (perm_powers(x, -2), np.stack([one_shot_power(x, e) for e in (-1, -2)])),
+    ]
+    # x's rows as positions of another length: the first 7 and every entry twice.
+    for positions in (x[:, :7] % width, np.repeat(x, 2, axis=1)):
+        pairs.append((perm_compose(positions, y), one_shot_compose(positions, y)))
+    for got, want in pairs:
+        assert got.dtype == np.int32 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_a_stacked_commutator_holds_a_block_of_temporaries_beside_its_output():
+    # 64 x 3125 int32 stacks, a p = 5, n = 5 batch: built in one shot, its int64
+    # flat indices and int32 products held several times the 800,000-byte output.
+    rng = np.random.default_rng(5)
+    x, y = random_perms(rng, 64, 3125), random_perms(rng, 64, 3125)
+    tracemalloc.start()
+    try:
+        comm = perm_commutator(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(comm, one_shot_commutator(x, y))
+    assert peak < comm.nbytes + 512 * 1024
